@@ -17,11 +17,10 @@ import sys
 
 # Manifest keys that describe the run itself rather than its set-up.
 PER_RUN = {
-    "seed", "commit", "valid", "warmup_loop", "open_loop", "closed_loop",
-    "open_samples", "lat_samples", "gen_late_ms_p99", "gen_backlog_end", "p90_supported",
-    "closed_rps_whole_phase", "library_searches", "scheme_order",
-    "deep_first", "core_counts_repeat", "search_p50_ms_whole_run",
-    "runs_per_s_whole_run",
+    "seed", "commit", "valid", "host_dilation", "setup_s_measured", "lat_p50_ms_measured",
+    "lat_p90_ms_measured", "capacity_rps_measured", "warmup_loop", "open_loop", "closed_loop", "open_samples",
+    "gen_late_ms_p99", "gen_backlog_end", "library_searches", "scheme_order", "deep_first",
+    "core_counts_repeat", "runs_per_s_whole_run", "p90_supported_per_segment",
 }
 
 

@@ -2,7 +2,7 @@
 //! line refuses any other name, and a test keeps this list and
 //! `BENCHMARK.json` identical.
 
-pub const WORKLOADS: [&str; 3] = ["serve_int_rtn", "serve_fq_sr", "search_lib"];
+pub const WORKLOADS: [&str; 2] = ["serve_int_rtn", "search_lib"];
 
 /// End-to-end metrics, printed by every workload with `--trace 0`.
 pub const END_TO_END: &[(&str, &str)] = &[
@@ -59,10 +59,9 @@ const SEARCH_STAGES: &[(&str, &[&str])] = &[
 
 /// Every per-layer metric in print order, with its unit.
 pub fn per_layer() -> Vec<(String, &'static str)> {
-    let mut out: Vec<(String, &'static str)> = SERVE_LAYERS
-        .iter()
-        .map(|&(n, u)| (n.to_string(), u))
-        .collect();
+    // The host's median dilation over the traced pass (see `calib`).
+    let mut out: Vec<(String, &'static str)> = vec![("host.dilation".to_string(), "ratio")];
+    out.extend(SERVE_LAYERS.iter().map(|&(n, u)| (n.to_string(), u)));
     for model in ["shallow", "deep"] {
         for scheme in SCHEMES {
             out.push((format!("search.{model}.{scheme}_s"), "s"));
@@ -168,7 +167,7 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), all.len(), "duplicate metric name");
-        assert!(all.len() <= 5 + 128);
+        assert!(all.len() <= END_TO_END.len() + 128);
         for n in &all {
             assert!(n.len() <= 64 && n.chars().next().unwrap().is_ascii_alphanumeric());
             assert!(n

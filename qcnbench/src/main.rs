@@ -2,15 +2,16 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path qcnbench/Cargo.toml -- \
-//!     --workload serve_int_rtn --seed 1 --seconds 20 --trace 0
+//!     --workload serve_int_rtn --seed 1 --seconds 40 --trace 0
 //! ```
 //!
-//! Workloads: `serve_int_rtn`, `serve_fq_sr`, `search_lib` (see
+//! Workloads: `serve_int_rtn`, `search_lib` (see
 //! `qcnbench/README.md`). Prints a run manifest line, then as the last
 //! line one JSON object: `correct`, `attempted`, `failed` and `metrics` —
 //! every end-to-end metric with `--trace 0`, every per-layer metric with
 //! `--trace 1`. Exits non-zero when any output differs from its oracle.
 
+mod calib;
 mod catalog;
 mod search;
 mod serve;
@@ -32,6 +33,8 @@ pub struct Pass {
     pub mismatched: u64,
     /// False when the open-loop generator fell behind its schedule.
     pub valid: bool,
+    /// Median host dilation over the pass (see `calib`).
+    pub dilation: f64,
     /// Extra manifest fields, values already rendered as JSON.
     pub manifest: Vec<(&'static str, String)>,
     /// Request spans of a traced serving pass, as TSV.
@@ -47,6 +50,7 @@ impl Pass {
             failed: 0,
             mismatched: 0,
             valid: true,
+            dilation: 1.0,
             manifest: Vec::new(),
             spans: String::new(),
         }
@@ -106,7 +110,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload,
         seed: seed.unwrap_or(1),
-        seconds: seconds.unwrap_or(20.0),
+        seconds: seconds.unwrap_or(40.0),
         trace,
     })
 }
@@ -121,8 +125,7 @@ fn run_pass(args: &Args, traced: bool) -> Pass {
         args.seconds
     };
     match args.workload.as_str() {
-        "serve_int_rtn" => serve::run(serve::SERVE_INT_RTN, args.seed, seconds, traced),
-        "serve_fq_sr" => serve::run(serve::SERVE_FQ_SR, args.seed, seconds, traced),
+        "serve_int_rtn" => serve::run(args.seed, seconds, traced),
         "search_lib" => search::run_pass(args.seed, seconds, traced),
         other => unreachable!("workload {other} was validated"),
     }
@@ -178,7 +181,8 @@ fn manifest_line(args: &Args, pass: &Pass) -> String {
     let mut s =
         format!(
         "{{\"manifest\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
-         \"nproc\": {nproc}, \"commit\": \"{}\", \"profile\": \"{}\", \"valid\": {}",
+         \"nproc\": {nproc}, \"commit\": \"{}\", \"profile\": \"{}\", \"valid\": {}, \
+         \"host_dilation\": {}, \"calibration_reference_ms\": {}",
         args.workload,
         args.seed,
         args.seconds,
@@ -186,6 +190,8 @@ fn manifest_line(args: &Args, pass: &Pass) -> String {
         commit(),
         if cfg!(debug_assertions) { "debug" } else { "release" },
         pass.valid,
+        pass.dilation,
+        calib::REFERENCE_MS,
     );
     for (k, v) in &pass.manifest {
         let _ = write!(s, ", \"{k}\": {v}");
@@ -242,6 +248,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| panic!("per-layer metric {name} is not in the catalog"));
             slot.1 = v;
         };
+        set("host.dilation", traced.dilation);
         for (name, v) in &traced.layers {
             set(name, *v);
         }

@@ -1,7 +1,8 @@
 //! The library-search workload: Algorithm 1 over TRN/RTN/RTNE/SR on the
 //! trained ShallowCaps-S, then on the trained DeepCaps-S, back to back.
 
-use crate::stats::{calmer_half, nearest_rank};
+use crate::calib::Track;
+use crate::stats::nearest_rank;
 use crate::{median, Pass};
 use qcapsnets::{run, select, FrameworkConfig, Outcome, RunReport, SearchAccel, Selection};
 use qcn_capsnet::{
@@ -158,8 +159,13 @@ fn selected_config(sel: &Selection) -> &ModelQuant {
 }
 
 /// Median wall time of each inference stage at the search's eval batch,
-/// under the model's selected configuration.
-fn stage_times<M: CapsNet>(model: &M, ds: &Dataset, config: &ModelQuant) -> Vec<(String, f64)> {
+/// under the model's selected configuration, at reference host speed.
+fn stage_times<M: CapsNet>(
+    model: &M,
+    ds: &Dataset,
+    config: &ModelQuant,
+    track: &mut Track,
+) -> Vec<(String, f64)> {
     let qmodel = model.with_quantized_weights(config);
     let idx: Vec<usize> = (0..EVAL_BATCH).collect();
     let (mut x, _) = ds.batch(&idx);
@@ -175,7 +181,7 @@ fn stage_times<M: CapsNet>(model: &M, ds: &Dataset, config: &ModelQuant) -> Vec<
             std::hint::black_box(qmodel.infer_stage(s, &x, config, &mut ctx));
             samples.push(t.elapsed().as_secs_f64() * 1e6);
         }
-        out.push((group.name.clone(), median(&samples)));
+        out.push((group.name.clone(), median(&samples) / track.mark()));
         let mut ctx = QuantCtx::from_config(config);
         x = qmodel.infer_stage(s, &x, config, &mut ctx);
     }
@@ -208,13 +214,17 @@ fn core_counts(runs: &[&Runs]) -> Vec<(String, f64)> {
 /// Runs one pass of the search workload. The seed fixes the order in
 /// which each library search visits the models and the schemes.
 pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
+    let mut track = Track::start();
     let mut setup_s = Vec::with_capacity(SETUPS);
+    let mut measured_setup_s = Vec::with_capacity(SETUPS);
     let mut models = None;
     for _ in 0..SETUPS {
         let start = Instant::now();
         let shallow = trained_shallow();
         let deep = trained_deep();
-        setup_s.push(start.elapsed().as_secs_f64());
+        let secs = start.elapsed().as_secs_f64();
+        measured_setup_s.push(secs);
+        setup_s.push(secs / track.mark());
         models = Some((shallow, deep));
     }
     let ((shallow, sds), (deep, dds)) = models.expect("at least one set-up");
@@ -231,8 +241,10 @@ pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
     };
     let (snaive, ssel) = library(&shallow, &sds, &naive(&sbase), &[0, 1, 2, 3]);
     let (dnaive, dsel) = library(&deep, &dds, &naive(&dbase), &[0, 1, 2, 3]);
+    track.mark();
 
     let mut search_s = Vec::new();
+    let mut measured_s = Vec::new();
     let mut runs_done = 0u64;
     let mut mismatched = 0u64;
     let mut run_secs = 0.0;
@@ -250,7 +262,10 @@ pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
             let s = library(&shallow, &sds, &sbase, &order);
             (s, library(&deep, &dds, &dbase, &order))
         };
-        search_s.push(t.elapsed().as_secs_f64());
+        let secs = t.elapsed().as_secs_f64();
+        let dilation = track.mark();
+        search_s.push(secs / dilation);
+        measured_s.push(secs);
         for ((runs, sel), (want, want_sel)) in [(&s, (&snaive, &ssel)), (&d, (&dnaive, &dsel))] {
             for ((got, _), (exp, _)) in runs.iter().zip(want.iter()) {
                 runs_done += 1;
@@ -263,8 +278,8 @@ pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
             }
         }
         for (i, (_, secs)) in s.0.iter().chain(&d.0).enumerate() {
-            per_run[i].push(*secs);
-            run_secs += secs;
+            per_run[i].push(secs / dilation);
+            run_secs += secs / dilation;
         }
         let stats =
             |r: &Runs| -> Vec<String> { r.iter().map(|(x, _)| format!("{:?}", x.stats)).collect() };
@@ -275,36 +290,30 @@ pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
             }
         }
     }
-    // Each library search is its own window; keep the calmer half.
-    let groups: Vec<Vec<f64>> = search_s.iter().map(|&t| vec![t]).collect();
-    let mut calm = calmer_half(&groups, |g| g[0]);
-    calm.sort_by(f64::total_cmp);
+    let mut sorted = search_s.clone();
+    sorted.sort_by(f64::total_cmp);
 
     let mut pass = Pass::new();
     pass.e2e = vec![
         ("setup_s", median(&setup_s)),
-        ("lat_p50_ms", nearest_rank(&calm, 0.5) * 1e3),
-        ("lat_p90_ms", nearest_rank(&calm, 0.9) * 1e3),
+        ("lat_p50_ms", nearest_rank(&sorted, 0.5) * 1e3),
+        ("lat_p90_ms", nearest_rank(&sorted, 0.9) * 1e3),
         // Each library search is eight Algorithm 1 runs.
-        (
-            "capacity_rps",
-            8.0 * calm.len() as f64 / calm.iter().sum::<f64>(),
-        ),
+        ("capacity_rps", 8.0 / median(&search_s)),
     ];
+    pass.dilation = track.median();
     pass.attempted = runs_done;
     pass.failed = mismatched;
     pass.mismatched = mismatched;
     pass.manifest = vec![
+        ("setup_s_measured", crate::num(median(&measured_setup_s))),
+        ("lat_p50_ms_measured", crate::num(median(&measured_s) * 1e3)),
         ("kernel_threads", KERNEL_THREADS.to_string()),
         ("offered_rps", "null".to_string()),
         ("window", "null".to_string()),
         ("eval_batch", EVAL_BATCH.to_string()),
         ("setups", SETUPS.to_string()),
         ("library_searches", search_s.len().to_string()),
-        (
-            "search_p50_ms_whole_run",
-            crate::num(median(&search_s) * 1e3),
-        ),
         (
             "runs_per_s_whole_run",
             crate::num(runs_done as f64 / run_secs),
@@ -326,10 +335,10 @@ pub fn run_pass(seed: u64, seconds: f64, traced: bool) -> Pass {
         }
         let (fs, fd) = first.expect("at least one library search");
         layers.extend(core_counts(&[&fs, &fd]));
-        for (stage, us) in stage_times(&shallow, &sds, selected_config(&ssel)) {
+        for (stage, us) in stage_times(&shallow, &sds, selected_config(&ssel), &mut track) {
             layers.push((format!("stage.shallow.{stage}_us"), us));
         }
-        for (stage, us) in stage_times(&deep, &dds, selected_config(&dsel)) {
+        for (stage, us) in stage_times(&deep, &dds, selected_config(&dsel), &mut track) {
             layers.push((format!("stage.deep.{stage}_us"), us));
         }
         pass.layers = layers;

@@ -1,10 +1,11 @@
-//! The two serving workloads: a client drives `Router` in front of two
-//! in-process replicas, first open loop at a fixed offered rate, then
-//! closed loop with a fixed pipelined window.
+//! The serving workload: a client drives `Router` in front of two
+//! in-process `IntEngine` replicas, first open loop at a fixed offered
+//! rate, then closed loop with a fixed pipelined window.
 
+use crate::calib::Track;
 use crate::stats::{
-    calmer_half_latency, latency_percentiles, median_rate, nearest_rank, poisson_schedule,
-    supports, Arrival, Outcome, SplitMix,
+    latency_percentiles, nearest_rank, poisson_schedule, split_schedule, supports, windows,
+    Arrival, Outcome, SplitMix,
 };
 use crate::{median, Pass};
 use qcapsnets::export::pack_model;
@@ -14,8 +15,8 @@ use qcn_intinfer::{IntModel, UnitMode};
 use qcn_router::{Router, RouterConfig, RouterSnapshot};
 use qcn_serve::wire::{decode_response, encode_request, read_frame, write_frame};
 use qcn_serve::{
-    Client, ClientError, FakeQuantEngine, IntEngine, MetricsSnapshot, ModelRegistry, ServeConfig,
-    ServeEngine, ServeError, Server, SocketServer, WireError, WireRequest,
+    Client, ClientError, IntEngine, MetricsSnapshot, ModelRegistry, ServeConfig, ServeEngine,
+    ServeError, Server, SocketServer, WireError, WireRequest,
 };
 use qcn_telemetry::MetricValue;
 use qcn_tensor::Tensor;
@@ -29,19 +30,28 @@ use std::time::{Duration, Instant};
 pub const REPLICAS: usize = 2;
 /// Largest batch each replica's scheduler fuses.
 pub const MAX_BATCH: usize = 8;
-/// Requests in flight during the closed-loop phase: enough that each
-/// replica always has a full batch queued behind the one it runs.
-pub const WINDOW: usize = 64;
+/// Requests in flight during the closed-loop phase: one full batch per
+/// replica. With 64 in flight the replicas' batches fell in and out of step
+/// and the completion rate of identical runs spread by 35-50%.
+pub const WINDOW: usize = 16;
 /// Distinct seeded inputs the requests draw from.
 const POOL: usize = 64;
-/// Cold starts per round; `setup_s` is the median over three rounds.
-const SETUPS_PER_ROUND: usize = 5;
+/// Cold starts before the measured phases; the last one serves.
+const SETUPS_BEFORE: usize = 3;
+/// One more cold start after every this many measured segments, so the
+/// set-up median spans the same host conditions as the other metrics.
+const SETUP_EVERY: usize = 2;
 /// Unmeasured open-loop traffic between set-up and the measured phases.
 const WARMUP_S: f64 = 1.0;
-/// Length of the open-loop windows the calmer-half latency ranks.
-const WINDOW_S: f64 = 1.0;
-/// Length of the closed-loop windows `capacity_rps` takes the median of.
-const RATE_WINDOW_S: f64 = 0.5;
+/// Length of the open-loop segments, each followed by a calibration; the
+/// latency percentiles are taken per segment.
+const OPEN_SEGMENT_S: f64 = 1.0;
+/// Length of the closed-loop segments `capacity_rps` takes the median of.
+/// Each drains before the next starts.
+const CLOSED_SEGMENT_S: f64 = 1.0;
+/// Unmeasured closed-loop traffic before the measured segments: the first
+/// second after a round of cold starts ran up to 50% slow.
+const CLOSED_WARMUP_S: f64 = 0.5;
 /// The generator fell behind when its p99 lateness exceeds this.
 const LATE_LIMIT_MS: f64 = 10.0;
 const MODEL: &str = "m";
@@ -49,101 +59,27 @@ const IN_FRAC: u8 = 5;
 const INPUT_DIMS: [usize; 3] = [1, 16, 16];
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One serving workload: which engine every replica runs, and the fixed
-/// open-loop rate. The rates sit far below the closed-loop capacity (about
-/// 1200/s integer, 2700/s fake-quant on a 2-core host). A batching replica
-/// holds each batch open for the 2-ms batch window before it computes, so
-/// the integer replicas are busier than their capacity suggests; at 250/s
-/// their latency tail moved by 20-40% between identical runs, at 120/s by
-/// about 15%.
-#[derive(Debug, Clone, Copy)]
-pub struct Spec {
-    pub engine: EngineKind,
-    pub offered_rps: f64,
-}
+/// The fixed open-loop rate: far below the closed-loop capacity (about
+/// 900-1400/s on a 2-core host), so the open loop measures latency, not
+/// queueing.
+pub const OFFERED_RPS: f64 = 120.0;
+const SCHEME: RoundingScheme = RoundingScheme::RoundToNearest;
+/// The `engine` label of the program's stage-time histograms.
+const ENGINE_LABEL: &str = "integer";
 
-pub const SERVE_INT_RTN: Spec = Spec {
-    engine: EngineKind::IntegerRtn,
-    offered_rps: 120.0,
-};
-
-pub const SERVE_FQ_SR: Spec = Spec {
-    engine: EngineKind::FakeQuantSr,
-    offered_rps: 330.0,
-};
-
-#[derive(Debug, Clone, Copy)]
-pub enum EngineKind {
-    /// `IntEngine`, `UnitMode::FloatExact`, round-to-nearest.
-    IntegerRtn,
-    /// `FakeQuantEngine` under stochastic rounding.
-    FakeQuantSr,
-}
-
-impl EngineKind {
-    fn scheme(self) -> RoundingScheme {
-        match self {
-            EngineKind::IntegerRtn => RoundingScheme::RoundToNearest,
-            EngineKind::FakeQuantSr => RoundingScheme::Stochastic,
-        }
-    }
-
-    /// The `engine` label of the program's stage-time histograms.
-    fn label(self) -> &'static str {
-        match self {
-            EngineKind::IntegerRtn => "integer",
-            EngineKind::FakeQuantSr => "fake_quant",
-        }
-    }
-
-    fn build(self, model: &ShallowCaps, config: &ModelQuant) -> Engine {
-        Engine(match self {
-            EngineKind::IntegerRtn => {
-                let packed = pack_model(model, config);
-                let int_model =
-                    IntModel::load(&model.descriptor(), &packed).expect("config fully quantized");
-                Arc::new(IntEngine::new(
-                    int_model,
-                    IN_FRAC,
-                    UnitMode::FloatExact,
-                    INPUT_DIMS,
-                ))
-            }
-            EngineKind::FakeQuantSr => {
-                Arc::new(FakeQuantEngine::new(model, config.clone(), INPUT_DIMS))
-            }
-        })
-    }
-}
-
-/// Either engine behind one type, so both register through one path.
-#[derive(Clone)]
-struct Engine(Arc<dyn ServeEngine>);
-
-impl ServeEngine for Engine {
-    fn kind(&self) -> &str {
-        self.0.kind()
-    }
-    fn input_dims(&self) -> &[usize] {
-        self.0.input_dims()
-    }
-    fn output_dims(&self) -> &[usize] {
-        self.0.output_dims()
-    }
-    fn batchable(&self) -> bool {
-        self.0.batchable()
-    }
-    fn infer_batch(&self, x: &Tensor) -> Tensor {
-        self.0.infer_batch(x)
-    }
+/// `IntEngine` in `UnitMode::FloatExact` on the packed model.
+fn build_engine(model: &ShallowCaps, config: &ModelQuant) -> IntEngine {
+    let packed = pack_model(model, config);
+    let int_model = IntModel::load(&model.descriptor(), &packed).expect("config fully quantized");
+    IntEngine::new(int_model, IN_FRAC, UnitMode::FloatExact, INPUT_DIMS)
 }
 
 /// The served ShallowCaps-S: seeded weights, uniform Q1.3 weights / Q1.5
 /// activations with Q1.4 routing data — the deployment grid of the
 /// integration suites.
-fn served_model(scheme: RoundingScheme) -> (ShallowCaps, ModelQuant) {
+fn served_model() -> (ShallowCaps, ModelQuant) {
     let model = ShallowCaps::new(ShallowCapsConfig::small(1), 5);
-    let mut config = ModelQuant::uniform(3, 5, scheme);
+    let mut config = ModelQuant::uniform(3, 5, SCHEME);
     for lq in &mut config.layers {
         lq.dr_frac = Some(4);
     }
@@ -176,18 +112,23 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn start(engine: EngineKind, model: &ShallowCaps, config: &ModelQuant) -> Fleet {
+    fn start(model: &ShallowCaps, config: &ModelQuant) -> Fleet {
         let replicas: Vec<SocketServer> = (0..REPLICAS)
             .map(|_| {
                 let mut registry = ModelRegistry::new();
                 registry
-                    .register(MODEL, engine.build(model, config))
+                    .register(MODEL, build_engine(model, config))
                     .expect("one model per replica");
                 let server = Server::start(
                     registry,
                     ServeConfig {
                         max_batch: MAX_BATCH,
                         workers: 1,
+                        // No hold: a batch is whatever has queued when the
+                        // worker comes free. With the default 2-ms hold the
+                        // open-loop latency was dominated by the hold and
+                        // the closed loop's batches fell in and out of step.
+                        batch_window: Duration::ZERO,
                         ..ServeConfig::default()
                     },
                 );
@@ -218,7 +159,7 @@ impl Fleet {
 /// A warm stack plus the oracle its responses are checked against.
 struct Stack {
     fleet: Fleet,
-    engine: Engine,
+    engine: IntEngine,
     oracle: Vec<Vec<u32>>,
     /// Whether the first routed response matched the oracle.
     first_correct: bool,
@@ -227,15 +168,15 @@ struct Stack {
 /// Cold start: build the model and a reference engine, compute the oracle
 /// (one single-sample inference per pooled input), start replicas and
 /// router, and wait for the first correct routed response.
-fn set_up(kind: EngineKind, pool: &[Tensor]) -> (Stack, f64) {
+fn set_up(pool: &[Tensor]) -> (Stack, f64) {
     let start = Instant::now();
-    let (model, config) = served_model(kind.scheme());
-    let engine = kind.build(&model, &config);
+    let (model, config) = served_model();
+    let engine = build_engine(&model, &config);
     let oracle: Vec<Vec<u32>> = pool
         .iter()
         .map(|x| bits(&engine.infer_batch(&single(x))))
         .collect();
-    let fleet = Fleet::start(kind, &model, &config);
+    let fleet = Fleet::start(&model, &config);
     let mut client = Client::connect(fleet.router.local_addr()).expect("connect to router");
     client
         .set_io_timeout(Some(IO_TIMEOUT))
@@ -254,25 +195,32 @@ fn set_up(kind: EngineKind, pool: &[Tensor]) -> (Stack, f64) {
     )
 }
 
-/// One round of cold starts: appends each one's time, counts first
-/// responses that differ from the oracle, and returns the last stack.
-fn cold_starts(
-    kind: EngineKind,
-    pool: &[Tensor],
-    times: &mut Vec<f64>,
-    mismatches: &mut u64,
-) -> Stack {
-    let mut stack: Option<Stack> = None;
-    for _ in 0..SETUPS_PER_ROUND {
-        if let Some(old) = stack.take() {
-            old.fleet.shutdown();
-        }
-        let (s, secs) = set_up(kind, pool);
-        times.push(secs);
-        *mismatches += u64::from(!s.first_correct);
-        stack = Some(s);
+/// The cold starts of one pass: their times at reference host speed and as
+/// measured, and how many first responses differed from the oracle.
+struct ColdStarts<'a> {
+    pool: &'a [Tensor],
+    times: Vec<f64>,
+    measured: Vec<f64>,
+    mismatches: u64,
+}
+
+impl ColdStarts<'_> {
+    fn start(&mut self, track: &mut Track) -> Stack {
+        let (stack, secs) = set_up(self.pool);
+        self.measured.push(secs);
+        self.times.push(secs / track.mark());
+        self.mismatches += u64::from(!stack.first_correct);
+        stack
     }
-    stack.expect("at least one set-up")
+
+    /// Called after measured segment `k`: every `SETUP_EVERY`-th segment,
+    /// one cold start of a fleet that is shut down again at once. The
+    /// serving fleet is idle between segments.
+    fn after_segment(&mut self, k: usize, track: &mut Track) {
+        if k % SETUP_EVERY == SETUP_EVERY - 1 {
+            self.start(track).fleet.shutdown();
+        }
+    }
 }
 
 /// Classifies one response against the oracle.
@@ -312,6 +260,14 @@ impl Counts {
             }
         }
         c
+    }
+
+    fn add(&mut self, other: &Counts) {
+        self.sent += other.sent;
+        self.ok += other.ok;
+        self.failed += other.failed;
+        self.refused += other.refused;
+        self.mismatched += other.mismatched;
     }
 
     /// Failed (oracle mismatches included) or refused.
@@ -464,10 +420,8 @@ fn open_loop(
 
 struct ClosedLoop {
     counts: Counts,
-    /// Completion time of each correct answer, seconds from phase start.
-    done_s: Vec<f64>,
     /// Correct answers per second over the whole phase and its drain.
-    mean_rps: f64,
+    rps: f64,
 }
 
 /// Closed loop: keep `WINDOW` requests in flight on one pipelined
@@ -487,7 +441,6 @@ fn closed_loop(
     let mut rng = SplitMix::new(seed ^ 0xC105_ED00);
     let mut inflight = VecDeque::with_capacity(WINDOW);
     let mut outcomes = Vec::new();
-    let mut done_s = Vec::new();
     let mut mismatched = 0;
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(phase_s);
@@ -504,9 +457,6 @@ fn closed_loop(
             Ok(resp) if resp.id == id => {
                 let (o, wrong) = judge(resp.result, &oracle[idx], 0.0);
                 mismatched += u64::from(wrong);
-                if matches!(o, Outcome::Ok(_)) {
-                    done_s.push(start.elapsed().as_secs_f64());
-                }
                 outcomes.push(o);
             }
             Ok(_) | Err(ClientError::Protocol(_)) => {
@@ -525,8 +475,7 @@ fn closed_loop(
     }
     let counts = Counts::of(&outcomes, mismatched);
     ClosedLoop {
-        mean_rps: counts.ok as f64 / start.elapsed().as_secs_f64(),
-        done_s,
+        rps: counts.ok as f64 / start.elapsed().as_secs_f64(),
         counts,
     }
 }
@@ -601,58 +550,164 @@ fn mean_batch(before: &[MetricsSnapshot], after: &[MetricsSnapshot]) -> f64 {
     requests as f64 / batches.max(1) as f64
 }
 
-/// Runs one pass of a serving workload; `traced` adds the per-layer
+/// The open-loop phase, run as segments with a calibration after each.
+struct OpenPhase {
+    /// p50 and p90 latency of each segment at reference host speed.
+    p50: Vec<f64>,
+    p90: Vec<f64>,
+    /// The same as measured.
+    measured: [Vec<f64>; 2],
+    samples: usize,
+    counts: Counts,
+    late_ms: Vec<f64>,
+    backlog_end: usize,
+    /// Each request's span with the index of its segment.
+    spans: Vec<(usize, Span)>,
+}
+
+impl OpenPhase {
+    /// Medians over the segments of their p50 and p90.
+    fn latency(&self) -> [f64; 2] {
+        [median(&self.p50), median(&self.p90)]
+    }
+
+    fn measured_latency(&self) -> [f64; 2] {
+        [median(&self.measured[0]), median(&self.measured[1])]
+    }
+}
+
+fn open_phase(
+    addr: SocketAddr,
+    pool: &[Tensor],
+    oracle: &[Vec<u32>],
+    schedule: &[Arrival],
+    phase_s: f64,
+    track: &mut Track,
+    mut cold: Option<&mut ColdStarts>,
+) -> OpenPhase {
+    let (len, segments) = split_schedule(schedule, phase_s, OPEN_SEGMENT_S);
+    let mut phase = OpenPhase {
+        p50: Vec::with_capacity(segments.len()),
+        p90: Vec::with_capacity(segments.len()),
+        measured: [Vec::new(), Vec::new()],
+        samples: schedule.len(),
+        counts: Counts::default(),
+        late_ms: Vec::with_capacity(schedule.len()),
+        backlog_end: 0,
+        spans: Vec::with_capacity(schedule.len()),
+    };
+    for (k, segment) in segments.iter().enumerate() {
+        let run = open_loop(addr, pool, oracle, segment, len);
+        let dilation = track.mark();
+        if !run.outcomes.is_empty() {
+            let p = latency_percentiles(&run.outcomes, &[0.5, 0.9]);
+            phase.p50.push(p[0] / dilation);
+            phase.p90.push(p[1] / dilation);
+            phase.measured[0].push(p[0]);
+            phase.measured[1].push(p[1]);
+        }
+        phase.counts.add(&run.counts);
+        phase.late_ms.extend(run.late_ms);
+        phase.backlog_end += run.backlog_end;
+        phase
+            .spans
+            .extend(run.spans.into_iter().map(|span| (k, span)));
+        if let Some(cold) = cold.as_deref_mut() {
+            cold.after_segment(k, track);
+        }
+    }
+    phase
+}
+
+/// The closed-loop phase, run as segments that each drain before the next
+/// starts; returns each segment's completion rate at reference host speed
+/// and as measured, and the summed counts.
+fn closed_phase(
+    addr: SocketAddr,
+    pool: &[Tensor],
+    oracle: &[Vec<u32>],
+    seed: u64,
+    phase_s: f64,
+    track: &mut Track,
+    cold: &mut ColdStarts,
+) -> (Vec<f64>, Vec<f64>, Counts) {
+    let (len, n) = windows(phase_s, CLOSED_SEGMENT_S);
+    let mut rates = Vec::with_capacity(n);
+    let mut measured = Vec::with_capacity(n);
+    let mut counts = closed_loop(addr, pool, oracle, seed ^ 0x3A53, CLOSED_WARMUP_S).counts;
+    track.mark();
+    for k in 0..n {
+        let run = closed_loop(addr, pool, oracle, seed ^ ((k as u64) << 40), len);
+        rates.push(run.rps * track.mark());
+        measured.push(run.rps);
+        counts.add(&run.counts);
+        cold.after_segment(k, track);
+    }
+    (rates, measured, counts)
+}
+
+/// Runs one pass of the serving workload; `traced` adds the per-layer
 /// measurements and writes the request spans out.
-pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
+pub fn run(seed: u64, seconds: f64, traced: bool) -> Pass {
     let pool = input_pool(seed);
-    // Latency percentiles need more samples than the capacity window does.
+    // Latency percentiles need more samples than the capacity does.
     let open_s = seconds * 2.0 / 3.0;
     let closed_s = seconds - open_s;
-    let schedule = poisson_schedule(seed, spec.offered_rps, open_s, POOL);
+    let schedule = poisson_schedule(seed, OFFERED_RPS, open_s, POOL);
 
-    // Cold starts come in three rounds — before, between and after the
-    // measured phases — so their median spans the run's host conditions.
-    // The first round's last stack serves; the others are shut down.
-    let mut setup_s = Vec::with_capacity(3 * SETUPS_PER_ROUND);
-    let mut setup_mismatches = 0;
-    let stack = cold_starts(spec.engine, &pool, &mut setup_s, &mut setup_mismatches);
+    let mut track = Track::start();
+    let mut cold = ColdStarts {
+        pool: &pool,
+        times: Vec::new(),
+        measured: Vec::new(),
+        mismatches: 0,
+    };
+    for _ in 1..SETUPS_BEFORE {
+        cold.start(&mut track).fleet.shutdown();
+    }
+    let stack = cold.start(&mut track);
     let addr = stack.fleet.router.local_addr();
 
     // Warm the connections, allocators and caches before measuring, at the
     // offered rate so the replicas' latency windows (kept since start)
     // hold nothing unlike phase 1; the answers are still checked.
-    let warm_schedule = poisson_schedule(seed ^ 0x3A53, spec.offered_rps, WARMUP_S, POOL);
+    let warm_schedule = poisson_schedule(seed ^ 0x3A53, OFFERED_RPS, WARMUP_S, POOL);
     let warm = open_loop(addr, &pool, &stack.oracle, &warm_schedule, WARMUP_S);
+    track.mark();
 
     // Stage times are summed over the two measured phases only: the cold
     // starts' oracle inferences land in the same histograms.
     let mut stages = Vec::new();
-    let stages_before = stage_totals(spec.engine.label());
+    let stages_before = stage_totals(ENGINE_LABEL);
     let replicas_start = stack.fleet.replica_metrics();
-    let open = open_loop(addr, &pool, &stack.oracle, &schedule, open_s);
+    let open = open_phase(
+        addr,
+        &pool,
+        &stack.oracle,
+        &schedule,
+        open_s,
+        &mut track,
+        Some(&mut cold),
+    );
     let replicas_open = stack.fleet.replica_metrics();
-    add_stage_delta(
-        &mut stages,
-        &stages_before,
-        &stage_totals(spec.engine.label()),
+    add_stage_delta(&mut stages, &stages_before, &stage_totals(ENGINE_LABEL));
+    let stages_before = stage_totals(ENGINE_LABEL);
+    let (rates, measured_rates, closed) = closed_phase(
+        addr,
+        &pool,
+        &stack.oracle,
+        seed,
+        closed_s,
+        &mut track,
+        &mut cold,
     );
-    cold_starts(spec.engine, &pool, &mut setup_s, &mut setup_mismatches)
-        .fleet
-        .shutdown();
-    let stages_before = stage_totals(spec.engine.label());
-    let closed = closed_loop(addr, &pool, &stack.oracle, seed, closed_s);
     let replicas_closed = stack.fleet.replica_metrics();
-    add_stage_delta(
-        &mut stages,
-        &stages_before,
-        &stage_totals(spec.engine.label()),
-    );
-    cold_starts(spec.engine, &pool, &mut setup_s, &mut setup_mismatches)
-        .fleet
-        .shutdown();
+    add_stage_delta(&mut stages, &stages_before, &stage_totals(ENGINE_LABEL));
+    let (setup_s, setup_mismatches) = (cold.times, cold.mismatches);
+    let measured_setup_s = median(&cold.measured);
+    let measured = open.measured_latency();
 
-    let (lat, lat_samples) = calmer_half_latency(&schedule, &open.outcomes, open_s, WINDOW_S);
-    let whole = latency_percentiles(&open.outcomes, &[0.5, 0.9]);
+    let lat = open.latency();
     let mut late = open.late_ms.clone();
     late.sort_by(f64::total_cmp);
     let late_p99 = if late.is_empty() {
@@ -660,44 +715,48 @@ pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
     } else {
         nearest_rank(&late, 0.99)
     };
-    let valid = late_p99 <= LATE_LIMIT_MS && open.backlog_end * 100 <= open.outcomes.len();
+    let valid = late_p99 <= LATE_LIMIT_MS && open.backlog_end * 100 <= open.samples;
 
     let mut pass = Pass::new();
     pass.e2e = vec![
         ("setup_s", median(&setup_s)),
         ("lat_p50_ms", lat[0]),
         ("lat_p90_ms", lat[1]),
-        (
-            "capacity_rps",
-            median_rate(&closed.done_s, closed_s, RATE_WINDOW_S),
-        ),
+        ("capacity_rps", median(&rates)),
     ];
     // Set-up requests count too: one routed request per cold start.
-    let phases = [warm.counts, open.counts, closed.counts];
+    let phases = [warm.counts, open.counts, closed];
     pass.attempted = setup_s.len() as u64 + phases.iter().map(|c| c.sent).sum::<u64>();
     pass.failed = setup_mismatches + phases.iter().map(Counts::unsuccessful).sum::<u64>();
     pass.mismatched = setup_mismatches + phases.iter().map(|c| c.mismatched).sum::<u64>();
     pass.valid = valid;
+    pass.dilation = track.median();
     pass.manifest = vec![
+        ("setup_s_measured", crate::num(measured_setup_s)),
+        ("lat_p50_ms_measured", crate::num(measured[0])),
+        ("lat_p90_ms_measured", crate::num(measured[1])),
+        ("capacity_rps_measured", crate::num(median(&measured_rates))),
         ("kernel_threads", "1".to_string()),
-        ("offered_rps", format!("{}", spec.offered_rps)),
+        ("offered_rps", format!("{OFFERED_RPS}")),
         ("window", WINDOW.to_string()),
         ("replicas", REPLICAS.to_string()),
         ("max_batch", MAX_BATCH.to_string()),
-        ("engine", format!("\"{}\"", spec.engine.label())),
-        ("scheme", format!("\"{}\"", spec.engine.scheme())),
+        ("batch_window_ms", "0".to_string()),
+        ("engine", format!("\"{ENGINE_LABEL}\"")),
+        ("scheme", format!("\"{SCHEME}\"")),
         ("setups", setup_s.len().to_string()),
-        ("window_s", format!("{WINDOW_S}")),
-        ("rate_window_s", format!("{RATE_WINDOW_S}")),
-        ("open_samples", open.outcomes.len().to_string()),
-        ("lat_samples", lat_samples.to_string()),
-        ("p90_supported", supports(lat_samples, 0.9).to_string()),
-        ("open_p50_ms_whole_phase", crate::num(whole[0])),
-        ("open_p90_ms_whole_phase", crate::num(whole[1])),
-        ("closed_rps_whole_phase", crate::num(closed.mean_rps)),
+        ("open_segment_s", format!("{OPEN_SEGMENT_S}")),
+        ("closed_segment_s", format!("{CLOSED_SEGMENT_S}")),
+        ("open_samples", open.samples.to_string()),
+        ("open_segments", open.p50.len().to_string()),
+        (
+            "p90_supported_per_segment",
+            supports(open.samples / open.p50.len().max(1), 0.9).to_string(),
+        ),
+        ("closed_segments", rates.len().to_string()),
         ("warmup_loop", warm.counts.json()),
         ("open_loop", open.counts.json()),
-        ("closed_loop", closed.counts.json()),
+        ("closed_loop", closed.json()),
         ("gen_late_ms_p99", format!("{late_p99}")),
         ("gen_backlog_end", open.backlog_end.to_string()),
     ];
@@ -708,22 +767,23 @@ pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
         let direct_s = (open_s / 4.0).clamp(0.5, 3.0);
         let direct_schedule = poisson_schedule(
             seed ^ 0xD1EC7,
-            spec.offered_rps / REPLICAS as f64,
+            OFFERED_RPS / REPLICAS as f64,
             direct_s,
             POOL,
         );
-        let direct = open_loop(
+        let direct = open_phase(
             stack.fleet.replicas[0].local_addr(),
             &pool,
             &stack.oracle,
             &direct_schedule,
             direct_s,
+            &mut track,
+            None,
         );
         pass.attempted += direct.counts.sent;
         pass.failed += direct.counts.unsuccessful();
         pass.mismatched += direct.counts.mismatched;
-        let direct_p50 =
-            calmer_half_latency(&direct_schedule, &direct.outcomes, direct_s, WINDOW_S).0[0];
+        let direct_p50 = direct.latency()[0];
         let router = stack.fleet.shutdown();
 
         let engine = &stack.engine;
@@ -736,30 +796,35 @@ pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
             Tensor::from_vec(data, [8, 1, 16, 16]).expect("batch of eight")
         };
         let budget = Duration::from_millis(400);
+        track.mark();
         let b1_us = time_us(budget, || {
             std::hint::black_box(engine.infer_batch(std::hint::black_box(&b1)));
-        });
+        }) / track.mark();
         let b8_us = time_us(budget, || {
             std::hint::black_box(engine.infer_batch(std::hint::black_box(&b8)));
-        });
+        }) / track.mark();
+        // The replicas' and stages' own times span the whole run.
+        let dilation = track.median();
 
         let server_p50 = replicas_open
             .iter()
             .map(|m| m.latency_p50_us as f64)
             .sum::<f64>()
-            / REPLICAS as f64;
+            / REPLICAS as f64
+            / dilation;
         let server_p95 = replicas_open
             .iter()
             .map(|m| m.latency_p95_us as f64)
             .sum::<f64>()
-            / REPLICAS as f64;
+            / REPLICAS as f64
+            / dilation;
         let open_batch = mean_batch(&replicas_start, &replicas_open);
         let engine_at_batch = b1_us + (b8_us - b1_us) * (open_batch - 1.0) / 7.0;
         let ok: Vec<f64> = router.backends.iter().map(|b| b.ok as f64).collect();
         let skew = ok.iter().cloned().fold(0.0, f64::max)
             / ok.iter().cloned().fold(f64::MAX, f64::min).max(1.0);
         let routed = router.completed + router.failed + router.rejected;
-        let all = [open.counts, closed.counts];
+        let all = [open.counts, closed];
         let sum = |f: fn(&Counts) -> u64| all.iter().map(f).sum::<u64>() as f64;
 
         let mut layers: Vec<(String, f64)> = vec![
@@ -808,7 +873,10 @@ pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
             ("engine.b8_us".into(), b8_us),
         ];
         for (stage, calls, sum) in &stages {
-            layers.push((format!("stage.{stage}_us"), sum / (*calls).max(1) as f64));
+            layers.push((
+                format!("stage.{stage}_us"),
+                sum / (*calls).max(1) as f64 / dilation,
+            ));
         }
         pass.layers = layers;
         pass.spans = render_spans(&open.spans);
@@ -818,9 +886,9 @@ pub fn run(spec: Spec, seed: u64, seconds: f64, traced: bool) -> Pass {
     pass
 }
 
-fn render_spans(spans: &[Span]) -> String {
-    let mut out = String::from("id\tdue_us\tsent_us\tdone_us\toutcome\n");
-    for (i, s) in spans.iter().enumerate() {
+fn render_spans(spans: &[(usize, Span)]) -> String {
+    let mut out = String::from("id\tsegment\tdue_us\tsent_us\tdone_us\toutcome\n");
+    for (i, (segment, s)) in spans.iter().enumerate() {
         let opt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
         let outcome = match s.outcome {
             Outcome::Ok(_) => "ok",
@@ -828,7 +896,7 @@ fn render_spans(spans: &[Span]) -> String {
             Outcome::Refused => "refused",
         };
         out.push_str(&format!(
-            "{i}\t{}\t{}\t{}\t{outcome}\n",
+            "{i}\t{segment}\t{}\t{}\t{}\t{outcome}\n",
             s.due_us,
             opt(s.sent_us),
             opt(s.done_us)

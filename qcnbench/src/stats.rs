@@ -117,57 +117,24 @@ pub fn windows(phase_s: f64, window_s: f64) -> (f64, usize) {
     (phase_s / n as f64, n)
 }
 
-/// The calmer half of a run. A shared host slows whole seconds at a
-/// time, by tens of percent; the windows it slowed least show what the
-/// program does when it has the cores. Keeps the `⌈n/2⌉` groups with the
-/// lowest `key` and pools their samples.
-pub fn calmer_half<T: Clone>(groups: &[Vec<T>], key: impl Fn(&[T]) -> f64) -> Vec<T> {
-    let mut ranked: Vec<(f64, &Vec<T>)> = groups
-        .iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| (key(g), g))
-        .collect();
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let keep = ranked.len().div_ceil(2);
-    ranked
-        .into_iter()
-        .take(keep)
-        .flat_map(|(_, g)| g.iter().cloned())
-        .collect()
-}
-
-/// Open-loop p50 and p90 over the calmer half of the phase, and how many
-/// samples that half holds: requests are grouped by due time into windows,
-/// ranked by their own p50.
-pub fn calmer_half_latency(
+/// Splits a schedule into the segments of [`windows`]`(phase_s, segment_s)`:
+/// each arrival goes to the segment its due time falls in, with its due time
+/// made relative to that segment's start. Returns the segment length too.
+pub fn split_schedule(
     schedule: &[Arrival],
-    outcomes: &[Outcome],
     phase_s: f64,
-    window_s: f64,
-) -> (Vec<f64>, usize) {
-    let (len, n) = windows(phase_s, window_s);
-    let mut groups: Vec<Vec<Outcome>> = vec![Vec::new(); n];
-    for (a, o) in schedule.iter().zip(outcomes) {
-        groups[((a.due_s / len) as usize).min(n - 1)].push(*o);
+    segment_s: f64,
+) -> (f64, Vec<Vec<Arrival>>) {
+    let (len, n) = windows(phase_s, segment_s);
+    let mut segments = vec![Vec::new(); n];
+    for a in schedule {
+        let k = ((a.due_s / len) as usize).min(n - 1);
+        segments[k].push(Arrival {
+            due_s: a.due_s - k as f64 * len,
+            input: a.input,
+        });
     }
-    let pooled = calmer_half(&groups, |g| latency_percentiles(g, &[0.5])[0]);
-    (latency_percentiles(&pooled, &[0.5, 0.9]), pooled.len())
-}
-
-/// Closed-loop capacity: the median over the phase's windows of successful
-/// completions per second, given each completion's time in seconds from
-/// the phase start. The median rides out both the ramp from the previous
-/// phase and the seconds a shared host runs slow or fast.
-pub fn median_rate(done_s: &[f64], phase_s: f64, window_s: f64) -> f64 {
-    let (len, n) = windows(phase_s, window_s);
-    let mut counts = vec![0u64; n];
-    for &t in done_s {
-        if t < phase_s {
-            counts[((t / len) as usize).min(n - 1)] += 1;
-        }
-    }
-    let rates: Vec<f64> = counts.iter().map(|&c| c as f64 / len).collect();
-    median(&rates)
+    (len, segments)
 }
 
 #[cfg(test)]
@@ -227,34 +194,28 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_the_median_window_rate() {
-        // 3 completions in [0, 1), 5 in [1, 2), 1 in [2, 3), one after.
-        let done = [0.1, 0.5, 0.9, 1.0, 1.2, 1.4, 1.6, 1.99, 2.2, 3.5];
-        assert_eq!(median_rate(&done, 3.0, 1.0), 3.0);
-        // A phase shorter than a window is one window.
-        assert_eq!(median_rate(&[0.1, 0.2], 0.5, 1.0), 4.0);
+    fn schedule_splits_into_whole_segments() {
         assert_eq!(windows(10.0, 1.0), (1.0, 10));
         assert_eq!(windows(2.5, 1.0), (1.25, 2));
-    }
-
-    #[test]
-    fn calmer_half_keeps_the_better_windows() {
-        // Latency: the slow second window is dropped, and a window of
-        // refused requests ranks last, so neither enters the pool.
-        let sched: Vec<Arrival> = (0..30)
-            .map(|i| Arrival {
-                due_s: i as f64 * 0.1,
-                input: 0,
+        // A phase shorter than a segment is one segment.
+        assert_eq!(windows(0.5, 1.0), (0.5, 1));
+        let sched = poisson_schedule(3, 200.0, 2.5, 64);
+        let (len, segs) = split_schedule(&sched, 2.5, 1.0);
+        assert_eq!((len, segs.len()), (1.25, 2));
+        let rejoined: Vec<Arrival> = segs
+            .iter()
+            .enumerate()
+            .flat_map(|(k, seg)| {
+                seg.iter().map(move |a| Arrival {
+                    due_s: a.due_s + k as f64 * len,
+                    input: a.input,
+                })
             })
             .collect();
-        let mut o = vec![Outcome::Ok(2.0); 10];
-        o.extend(vec![Outcome::Ok(50.0); 10]);
-        o.extend(vec![Outcome::Refused; 10]);
-        assert_eq!(
-            calmer_half_latency(&sched, &o, 3.0, 1.0),
-            (vec![2.0, 50.0], 20)
-        );
-        let all_refused = vec![Outcome::Refused; 30];
-        assert!(calmer_half_latency(&sched, &all_refused, 3.0, 1.0).0[0].is_infinite());
+        assert_eq!(rejoined.len(), sched.len());
+        for (a, b) in rejoined.iter().zip(&sched) {
+            assert!((a.due_s - b.due_s).abs() < 1e-12 && a.input == b.input);
+        }
+        assert!(segs.iter().flatten().all(|a| (0.0..len).contains(&a.due_s)));
     }
 }
