@@ -5,7 +5,7 @@
 //! the shift-based requantization epilogue per rounding scheme.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qcn_fixed::RoundingScheme;
+use qcn_fixed::{QFormat, Quantizer, RoundingScheme};
 use qcn_intinfer::epilogue::KeyedRequant;
 use qcn_intinfer::kernels::{caps_votes_raw, conv2d_raw};
 use qcn_intinfer::IntTensor;
@@ -41,7 +41,10 @@ fn bench_int_conv2d(c: &mut Criterion) {
             )
         })
     });
-    let rq = KeyedRequant::new(RoundingScheme::RoundToNearest, acc, 5, 0xBEEF);
+    let rq = KeyedRequant::new(
+        acc,
+        Quantizer::new(QFormat::with_frac(5), RoundingScheme::RoundToNearest).fused(0xBEEF),
+    );
     let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
     c.bench_function("int conv2d 8x16x16x16 -> 32ch 3x3 (fused requant)", |b| {
         b.iter(|| {
@@ -63,7 +66,10 @@ fn bench_int_caps_votes(c: &mut Criterion) {
     let input = IntTensor::from_raw(raw_values(16 * 128 * 4, 5, 4), vec![16, 128, 4], 5);
     let weight = raw_values(128 * 10 * 4 * 8, 5, 5);
     let acc = input.frac() + 5;
-    let rq = KeyedRequant::new(RoundingScheme::RoundToNearest, acc, 4, 0xBEEF);
+    let rq = KeyedRequant::new(
+        acc,
+        Quantizer::new(QFormat::with_frac(4), RoundingScheme::RoundToNearest).fused(0xBEEF),
+    );
     let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
     c.bench_function("int caps_votes 16x128x4 -> 10x8 (fused requant)", |b| {
         b.iter(|| caps_votes_raw(black_box(&input), black_box(&weight), 10, 8, 4, &epi))
@@ -75,7 +81,10 @@ fn bench_shift_requant(c: &mut Criterion) {
     // shift-based requantization from 10 to 5 fractional bits.
     let values = raw_values(65_536, 10, 6);
     for scheme in RoundingScheme::EXTENDED {
-        let rq = KeyedRequant::new(scheme, 10, 5, 0xBEEF);
+        let rq = KeyedRequant::new(
+            10,
+            Quantizer::new(QFormat::with_frac(5), scheme).fused(0xBEEF),
+        );
         c.bench_function(&format!("int requant 64k elements ({scheme})"), |b| {
             b.iter_batched(
                 || values.clone(),

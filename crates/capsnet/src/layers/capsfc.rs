@@ -136,7 +136,7 @@ impl CapsFc {
         // epilogue (each panel rounded by the worker that produced it),
         // viewed as [b, I, J, Dj, 1] so the shared routing loop (spatial
         // axis S = 1) applies.
-        let fq = ctx.fused(dr);
+        let fq = ctx.fused(dr, b * self.in_caps * self.out_caps * self.out_dim);
         let votes = crate::layers::caps_votes_infer_fused(x, &self.weight, fq.as_ref());
         let votes = votes
             .reshape([b, self.in_caps, self.out_caps, self.out_dim, 1])
@@ -148,7 +148,7 @@ impl CapsFc {
 
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
-        self.weight = ctx.apply(self.weight.clone(), frac);
+        self.weight = ctx.round(self.weight.clone(), frac);
     }
 
     /// Output activation count per sample.

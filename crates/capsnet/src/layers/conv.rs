@@ -110,7 +110,9 @@ impl Conv2dLayer {
     /// bit-identical to the separate conv → activation → round passes for
     /// every thread count.
     pub fn infer(&self, x: &Tensor, lq: &LayerQuant, ctx: &mut QuantCtx) -> Tensor {
-        if let Some(fq) = ctx.fused(lq.act_frac) {
+        let (oh, ow) = self.spec.output_hw(x.dims()[2], x.dims()[3]);
+        let len = x.dims()[0] * self.weight.dims()[0] * oh * ow;
+        if let Some(fq) = ctx.fused(lq.act_frac, len) {
             let act = self.activation;
             let epi = move |off: usize, row: &mut [f32]| {
                 match act {
@@ -135,8 +137,8 @@ impl Conv2dLayer {
     /// Rounds the stored weights onto the `frac`-bit grid (framework weight
     /// quantization; a no-op when `frac` is `None`).
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
-        self.weight = ctx.apply(self.weight.clone(), frac);
-        self.bias = ctx.apply(self.bias.clone(), frac);
+        self.weight = ctx.round(self.weight.clone(), frac);
+        self.bias = ctx.round(self.bias.clone(), frac);
     }
 
     /// Output activation count for one sample of `h × w` input.

@@ -102,7 +102,7 @@ impl ConvCaps {
     pub fn infer(&self, x: &Tensor, lq: &LayerQuant, ctx: &mut QuantCtx) -> Tensor {
         let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.output_hw(h, w);
-        let fq = ctx.fused(lq.act_frac);
+        let fq = ctx.fused(lq.act_frac, b * self.out_types * self.out_dim * oh * ow);
         if !self.squash {
             return match fq {
                 Some(fq) => {
@@ -124,8 +124,8 @@ impl ConvCaps {
 
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
-        self.weight = ctx.apply(self.weight.clone(), frac);
-        self.bias = ctx.apply(self.bias.clone(), frac);
+        self.weight = ctx.round(self.weight.clone(), frac);
+        self.bias = ctx.round(self.bias.clone(), frac);
     }
 
     /// Output activation count for one sample of `h × w` input.
@@ -298,7 +298,7 @@ impl ConvCapsRouting {
                 ])
                 .expect("per-type kernel reshape");
             // [b, To·Do, oh, ow]
-            let v_t = match ctx.fused(dr) {
+            let v_t = match ctx.fused(dr, b * self.out_types * self.out_dim * s_spatial) {
                 Some(fq) => {
                     let epi = move |off: usize, row: &mut [f32]| fq.apply(off, row);
                     conv2d_fused(&x_t, &w_t, None, self.spec, Some(&epi))
@@ -322,7 +322,7 @@ impl ConvCapsRouting {
 
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
-        self.weight = ctx.apply(self.weight.clone(), frac);
+        self.weight = ctx.round(self.weight.clone(), frac);
     }
 
     /// Output activation count for one sample of `h × w` input.

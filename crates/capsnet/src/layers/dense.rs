@@ -96,7 +96,7 @@ impl DenseLayer {
             DenseActivation::Relu => y.relu(),
             DenseActivation::Sigmoid => y.sigmoid(),
         };
-        ctx.apply(y, lq.act_frac)
+        ctx.round(y, lq.act_frac)
     }
 }
 

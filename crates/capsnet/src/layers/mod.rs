@@ -104,7 +104,7 @@ pub fn caps_votes_infer_fused(input: &Tensor, weight: &Tensor, fq: Option<&Fused
 /// # Panics
 ///
 /// Panics when `data` does not divide into `[d, s]` blocks.
-pub(crate) fn squash_blocks_fused(data: &mut [f32], d: usize, s: usize, fq: Option<&FusedQuant>) {
+pub fn squash_blocks_fused(data: &mut [f32], d: usize, s: usize, fq: Option<&FusedQuant>) {
     let block = d * s;
     assert!(block > 0, "squash block must be non-empty");
     assert_eq!(data.len() % block, 0, "data must divide into [d, s] blocks");
@@ -133,12 +133,11 @@ pub(crate) fn squash_blocks_fused(data: &mut [f32], d: usize, s: usize, fq: Opti
 
 /// Routing step 4, `s[b,·,j,·,·] = Σ_i c[b,i,j]·û[b,i,j,·,·]`, with the
 /// Q_DR rounding applied to each `[Do, S]` output row as soon as it is
-/// complete. Accumulation is zero-initialised and `i`-ascending and rows
-/// finish in memory order, so both the arithmetic and the stochastic draw
-/// sequence are bitwise identical to the tensor-op composition
-/// `ctx.apply((votes * expand_to(c)).sum_axis_keepdim(1), dr)` — without
-/// materialising the vote-sized product.
-fn weighted_sum_rounded(votes: &Tensor, c: &Tensor, dr: Option<u8>, ctx: &mut QuantCtx) -> Tensor {
+/// complete. Accumulation is zero-initialised and `i`-ascending, and the
+/// epilogue is position-keyed, so the result is bitwise identical to the
+/// tensor-op composition `(votes * expand_to(c)).sum_axis_keepdim(1)`
+/// rounded afterwards — without materialising the vote-sized product.
+fn weighted_sum_rounded(votes: &Tensor, c: &Tensor, fq: Option<&FusedQuant>) -> Tensor {
     let d = votes.dims();
     let (b, ti, to, dd, s) = (d[0], d[1], d[2], d[3], d[4]);
     let mut out = Tensor::zeros([b, 1, to, dd, s]);
@@ -146,7 +145,8 @@ fn weighted_sum_rounded(votes: &Tensor, c: &Tensor, dr: Option<u8>, ctx: &mut Qu
     let row = dd * s;
     for bi in 0..b {
         for j in 0..to {
-            let orow = &mut o[(bi * to + j) * row..(bi * to + j + 1) * row];
+            let start = (bi * to + j) * row;
+            let orow = &mut o[start..start + row];
             for i in 0..ti {
                 let idx = (bi * ti + i) * to + j;
                 let vrow = &v[idx * row..(idx + 1) * row];
@@ -157,17 +157,19 @@ fn weighted_sum_rounded(votes: &Tensor, c: &Tensor, dr: Option<u8>, ctx: &mut Qu
                     }
                 }
             }
-            ctx.round_slice(orow, dr);
+            if let Some(fq) = fq {
+                fq.apply(start, orow);
+            }
         }
     }
     out
 }
 
 /// Routing step 6, `a[b,i,j,·,·] = Σ_d û[b,i,j,d,·]·v[b,·,j,d,·]`, with the
-/// Q_DR rounding applied to each finished `[To, S]` agreement row in memory
-/// order — bitwise identical to
-/// `ctx.apply((votes * expand_to(v)).sum_axis_keepdim(3), dr)`.
-fn agreement_rounded(votes: &Tensor, v: &Tensor, dr: Option<u8>, ctx: &mut QuantCtx) -> Tensor {
+/// Q_DR rounding applied to each finished `[To, S]` agreement row —
+/// bitwise identical to `(votes * expand_to(v)).sum_axis_keepdim(3)`
+/// rounded afterwards.
+fn agreement_rounded(votes: &Tensor, v: &Tensor, fq: Option<&FusedQuant>) -> Tensor {
     let d = votes.dims();
     let (b, ti, to, dd, s) = (d[0], d[1], d[2], d[3], d[4]);
     let mut out = Tensor::zeros([b, ti, to, 1, s]);
@@ -185,7 +187,9 @@ fn agreement_rounded(votes: &Tensor, v: &Tensor, dr: Option<u8>, ctx: &mut Quant
                     }
                 }
             }
-            ctx.round_slice(&mut o[obase..obase + to * s], dr);
+            if let Some(fq) = fq {
+                fq.apply(obase, &mut o[obase..obase + to * s]);
+            }
         }
     }
     out
@@ -209,30 +213,32 @@ pub(crate) fn dynamic_routing(
     let mut v = Tensor::zeros([b, 1, to, dd, s]);
     for iter in 0..iters {
         // c = softmax(b) — both operand and result at Q_DR.
-        let c = ctx.apply(logits.softmax_axis(2), dr);
+        let c = ctx.round(logits.softmax_axis(2), dr);
         // s = Σ_i c·û, quantized at Q_DR *before* the squash unit; the
         // fused loop rounds each row as it leaves the accumulator.
-        let mut s_pre = weighted_sum_rounded(votes, &c, dr, ctx);
+        let fq = ctx.fused(dr, v.len());
+        let mut s_pre = weighted_sum_rounded(votes, &c, fq.as_ref());
         let last = iter + 1 == iters;
         // Intermediate v stays at Q_DR; the final output is the layer
         // activation and uses Qa.
-        squash_blocks_fused(s_pre.data_mut(), dd, s, None);
-        ctx.round_slice(s_pre.data_mut(), if last { lq.act_frac } else { dr });
+        let fq = ctx.fused(if last { lq.act_frac } else { dr }, v.len());
+        squash_blocks_fused(s_pre.data_mut(), dd, s, fq.as_ref());
         v = s_pre;
         if !last {
-            let agreement = agreement_rounded(votes, &v, dr, ctx);
-            logits = ctx.apply(&logits + &agreement, dr);
+            let fq = ctx.fused(dr, logits.len());
+            let agreement = agreement_rounded(votes, &v, fq.as_ref());
+            logits = ctx.round(&logits + &agreement, dr);
         }
     }
     v
 }
 
 /// Runs [`dynamic_routing`] independently per sample, dispatched through
-/// the thread pool. Every sample routes with its own context forked from
-/// `(base, sample)` — a pure function of the main context's state at entry
-/// — so stochastic rounding, like everything else, is bit-identical for
-/// every thread count. For non-stochastic schemes the result equals the
-/// whole-batch routing exactly (routing never mixes samples).
+/// the thread pool. The routing loop claims one rounding point of the
+/// stage and numbers its own sites inside it; each sample routes with its
+/// own [`QuantCtx::sample`] view, which rounds exactly as the whole batch
+/// would — so the result is bit-identical to whole-batch routing for
+/// every scheme and every thread count (routing never mixes samples).
 pub(crate) fn route_per_sample(
     votes: &Tensor,
     iters: usize,
@@ -244,20 +250,18 @@ pub(crate) fn route_per_sample(
     let per_sample = ti * to * dd * s;
     let out_len = to * dd * s;
     let mut out = Tensor::zeros([b, 1, to, dd, s]);
+    let routing = ctx.nested();
     if out_len == 0 {
         return out;
     }
-    let base = ctx.fork_base();
     let vdata = votes.data();
-    let ctx_ref = &*ctx;
     parallel::par_chunks_mut(out.data_mut(), out_len, 1, |sample, chunk| {
-        let mut sctx = ctx_ref.fork(base, sample as u64);
         let votes_s = Tensor::from_vec(
             vdata[sample * per_sample..(sample + 1) * per_sample].to_vec(),
             [1, ti, to, dd, s],
         )
         .expect("per-sample vote slice is consistent");
-        let v = dynamic_routing(&votes_s, iters, lq, &mut sctx);
+        let v = dynamic_routing(&votes_s, iters, lq, &mut routing.sample(sample));
         chunk.copy_from_slice(v.data());
     });
     out

@@ -111,15 +111,15 @@ impl PrimaryCaps {
             .permute(&[0, 1, 3, 2])
             .reshape([b, self.caps_types * oh * ow, self.caps_dim])
             .expect("permuted capsules match flat shape");
-        let fq = ctx.fused(lq.act_frac);
+        let fq = ctx.fused(lq.act_frac, caps.len());
         crate::layers::squash_blocks_fused(caps.data_mut(), self.caps_dim, 1, fq.as_ref());
         caps
     }
 
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
-        self.weight = ctx.apply(self.weight.clone(), frac);
-        self.bias = ctx.apply(self.bias.clone(), frac);
+        self.weight = ctx.round(self.weight.clone(), frac);
+        self.bias = ctx.round(self.bias.clone(), frac);
     }
 
     /// Output activation count for one sample of `h × w` input.

@@ -63,11 +63,11 @@ pub trait CapsNet: Clone {
     /// Runs one stage of the inference pipeline.
     ///
     /// Stage `s` consumes the output of stage `s − 1` (the raw input batch
-    /// when `s == 0`) and must apply *exactly* the operations — and, for
-    /// stochastic rounding, exactly the context draws — that the monolithic
-    /// [`infer`](CapsNet::infer) applies in that portion of the network, so
-    /// that chaining all stages is bit-identical to a monolithic pass. The
-    /// search layer relies on this to cache per-stage activation
+    /// when `s == 0`). It starts with [`QuantCtx::enter_stage`], so its
+    /// stochastic rounding is keyed by the stage index and each sample's
+    /// stage input: the output is a pure function of `(stage, x, config)`,
+    /// and chaining all stages is the monolithic [`infer`](CapsNet::infer).
+    /// The search layer relies on this to cache per-stage activation
     /// checkpoints and re-run only the suffix a candidate configuration
     /// actually changes.
     fn infer_stage(
@@ -228,8 +228,8 @@ pub fn argmax_caps(caps: &Tensor) -> Vec<usize> {
 /// Classification accuracy (fraction in `[0, 1]`) of `model` on a labelled
 /// dataset under `config`, evaluated in mini-batches.
 ///
-/// A single [`QuantCtx`] spans the whole evaluation so stochastic rounding
-/// consumes one deterministic random stream.
+/// Stochastic rounding is keyed per sample ([`QuantCtx`]), so the result
+/// does not depend on `batch_size`: every sample rounds as it would alone.
 ///
 /// # Panics
 ///

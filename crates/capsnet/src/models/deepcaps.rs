@@ -290,7 +290,7 @@ impl DeepCaps {
         let mut grouped = sum
             .reshape([b, block.types, block.dim, h * w])
             .expect("packed layout matches capsule grouping");
-        let fq = ctx.fused(lq.act_frac);
+        let fq = ctx.fused(lq.act_frac, grouped.len());
         crate::layers::squash_blocks_fused(grouped.data_mut(), block.dim, h * w, fq.as_ref());
         grouped
             .reshape([b, block.types * block.dim, h, w])
@@ -409,6 +409,7 @@ impl CapsNet for DeepCaps {
             "DeepCaps group count mismatch"
         );
         let last = self.blocks.len() + 1;
+        ctx.enter_stage(stage, x.data(), x.dims()[0], |v| v);
         match stage {
             0 => self.conv.infer(x, &config.layers[0], ctx),
             s if s < last => self.block_infer(&self.blocks[s - 1], x, &config.layers[s], ctx),
@@ -465,10 +466,12 @@ impl CapsNet for DeepCaps {
         );
         let mut ctx = QuantCtx::from_config(config);
         let mut out = self.clone();
+        ctx.enter_weights(0);
         out.conv
             .quantize_weights(config.layers[0].weight_frac, &mut ctx);
         for (i, block) in out.blocks.iter_mut().enumerate() {
             let frac = config.layers[i + 1].weight_frac;
+            ctx.enter_weights(i + 1);
             block.main1.quantize_weights(frac, &mut ctx);
             block.main2.quantize_weights(frac, &mut ctx);
             match &mut block.skip {
@@ -477,6 +480,7 @@ impl CapsNet for DeepCaps {
             }
         }
         let last = config.layers.len() - 1;
+        ctx.enter_weights(last);
         out.fc
             .quantize_weights(config.layers[last].weight_frac, &mut ctx);
         out

@@ -226,6 +226,7 @@ impl CapsNet for ShallowCaps {
         ctx: &mut QuantCtx,
     ) -> Tensor {
         assert_eq!(config.layers.len(), 3, "ShallowCaps has 3 groups");
+        ctx.enter_stage(stage, x.data(), x.dims()[0], |v| v);
         match stage {
             0 => self.conv.infer(x, &config.layers[0], ctx),
             1 => self.primary.infer(x, &config.layers[1], ctx),
@@ -251,10 +252,13 @@ impl CapsNet for ShallowCaps {
         assert_eq!(config.layers.len(), 3, "ShallowCaps has 3 groups");
         let mut ctx = QuantCtx::from_config(config);
         let mut out = self.clone();
+        ctx.enter_weights(0);
         out.conv
             .quantize_weights(config.layers[0].weight_frac, &mut ctx);
+        ctx.enter_weights(1);
         out.primary
             .quantize_weights(config.layers[1].weight_frac, &mut ctx);
+        ctx.enter_weights(2);
         out.digit
             .quantize_weights(config.layers[2].weight_frac, &mut ctx);
         out

@@ -5,10 +5,8 @@
 //! paper Fig. 9: weights at `Qw`, layer outputs at `Qa`, and dynamic-routing
 //! intermediates (û, b, c, s, a) at the more aggressive `Q_DR`.
 
-use qcn_fixed::{FusedQuant, QFormat, Quantizer, RoundingScheme};
+use qcn_fixed::{sr_key, FusedQuant, QFormat, Quantizer, RoundingScheme};
 use qcn_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::fmt;
 
 /// Fractional-bit widths for one quantization group (layer or block).
@@ -136,16 +134,31 @@ impl fmt::Display for ModelQuant {
 }
 
 /// Runtime quantization context threaded through a quantized inference
-/// pass: the rounding scheme plus the RNG that drives stochastic rounding.
+/// pass: the rounding scheme plus the keys that make stochastic rounding
+/// a pure function of the data.
 ///
-/// `Clone` snapshots the full context (including the RNG state), which is
-/// what lets an interrupted batched evaluation resume later and still
-/// consume exactly the draws an uninterrupted pass would have — the
-/// search-time early-exit scoring in `qcapsnets::Evaluator` relies on this.
+/// Every stochastic draw is keyed by four things: the model seed, a fixed
+/// rounding-point id, a per-sample key and the element's offset within its
+/// sample. The point id is the ordinal of the rounding site within its
+/// scope — a pipeline stage ([`enter_stage`](QuantCtx::enter_stage)), one
+/// group's weights ([`enter_weights`](QuantCtx::enter_weights)), or one
+/// routing call ([`nested`](QuantCtx::nested)) — fixed by the code path,
+/// never by how many draws came before. The sample key hashes the
+/// sample's stage input. So a sample's rounding does not depend on the
+/// batch it rides in (batch invariance), and a stage's output depends only
+/// on that stage's input (stage purity). The context holds no RNG state.
 #[derive(Debug, Clone)]
 pub struct QuantCtx {
     scheme: RoundingScheme,
-    rng: StdRng,
+    seed: u64,
+    /// Key of the current scope of rounding points.
+    scope: u64,
+    /// Rounding sites claimed so far within the scope.
+    site: u64,
+    /// Per-sample keys of the current stage input; empty outside a stage
+    /// and for deterministic schemes, in which case each rounded tensor
+    /// is one stream.
+    keys: Vec<u64>,
 }
 
 impl QuantCtx {
@@ -153,7 +166,10 @@ impl QuantCtx {
     pub fn new(scheme: RoundingScheme, seed: u64) -> Self {
         QuantCtx {
             scheme,
-            rng: StdRng::seed_from_u64(seed),
+            seed,
+            scope: sr_key(seed, 0),
+            site: 0,
+            keys: Vec::new(),
         }
     }
 
@@ -167,77 +183,100 @@ impl QuantCtx {
         self.scheme
     }
 
-    /// Draws a fresh base seed for a batch of per-sample context forks.
-    ///
-    /// Advancing the main stream here (once per dispatch, on the calling
-    /// thread) keeps successive dispatches decorrelated while the forks
-    /// themselves stay a pure function of `(base, stream)` — which is what
-    /// makes parallel per-sample stochastic rounding independent of the
-    /// thread count.
-    pub fn fork_base(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
-    /// Builds the deterministic per-sample fork `stream` of a dispatch
-    /// whose base was drawn with [`fork_base`](QuantCtx::fork_base).
-    pub fn fork(&self, base: u64, stream: u64) -> QuantCtx {
-        // Golden-ratio stride decorrelates neighbouring streams; StdRng's
-        // seed_from_u64 applies SplitMix64 on top.
-        QuantCtx::new(
-            self.scheme,
-            base.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        )
-    }
-
-    /// Quantizes `t` to `frac` fractional bits (1 integer bit) when `frac`
-    /// is set; returns `t` unchanged otherwise.
-    pub fn apply(&mut self, t: Tensor, frac: Option<u8>) -> Tensor {
-        let mut out = t;
-        self.round_slice(out.data_mut(), frac);
-        out
-    }
-
-    /// Rounds a just-computed slice in place with the context's sequential
-    /// stream (one draw per element for SR, in slice order); a no-op when
-    /// `frac` is `None`. The fused routing loops call this on each finished
-    /// output row so rounding happens while the row is cache-hot, with
-    /// exactly the draws a whole-tensor [`apply`](QuantCtx::apply) in memory
-    /// order would consume.
-    pub fn round_slice(&mut self, values: &mut [f32], frac: Option<u8>) {
-        if let Some(frac) = frac {
-            self.scheme
-                .round_slice(values, QFormat::with_frac(frac), &mut self.rng);
+    /// Enters pipeline stage `stage`, whose `input` holds `batch` samples
+    /// back to back; `value` reads one element as `f32`. Under stochastic
+    /// rounding each sample's values are hashed (FNV-1a over the `f32`
+    /// bits, −0.0 folded into +0.0) into its key; deterministic schemes
+    /// skip the hashing.
+    pub fn enter_stage<T: Copy>(
+        &mut self,
+        stage: usize,
+        input: &[T],
+        batch: usize,
+        value: impl Fn(T) -> f32,
+    ) {
+        self.enter_scope(2 * stage as u64);
+        if self.scheme == RoundingScheme::Stochastic && batch > 0 {
+            let samples = input.chunks((input.len() / batch).max(1));
+            let keys = samples.map(|s| sample_key(s.iter().map(|&v| value(v))));
+            self.keys.extend(keys);
         }
     }
 
-    /// One uniform draw in `[0, 1)` from the context's sequential stream.
-    ///
-    /// This is exactly the per-element draw that
-    /// [`round_slice`](QuantCtx::round_slice) consumes for stochastic
-    /// rounding, exposed so that an integer backend (`qcn-intinfer`) can
-    /// make bit-identical rounding decisions on raw fixed-point values
-    /// while sharing this context's RNG state. Callers must mirror the
-    /// reference path's draw discipline: one draw per rounded element, in
-    /// slice order, and only when the scheme is stochastic.
-    pub fn sr_draw(&mut self) -> f64 {
-        use rand::Rng;
-        self.rng.gen_range(0.0..1.0)
+    /// Enters the weight rounding of quantization group `group`: its
+    /// points carry no sample key, each weight tensor is one stream.
+    pub fn enter_weights(&mut self, group: usize) {
+        self.enter_scope(2 * group as u64 + 1);
     }
 
-    /// Binds a [`FusedQuant`] writeback epilogue for a kernel dispatch that
-    /// quantizes to `frac` fractional bits, or `None` in full precision.
-    ///
-    /// The epilogue's stochastic stream is keyed the same way as
-    /// [`fork`](QuantCtx::fork): one [`fork_base`](QuantCtx::fork_base) draw
-    /// on the calling thread, then golden-ratio element streams — so the
-    /// kernel can round each output element wherever (and on whatever
-    /// thread) it is produced, bit-identically to a sequential round-after
-    /// pass with the same epilogue.
-    pub fn fused(&mut self, frac: Option<u8>) -> Option<FusedQuant> {
-        frac.map(|frac| {
-            Quantizer::new(QFormat::with_frac(frac), self.scheme).fused(self.fork_base())
-        })
+    fn enter_scope(&mut self, id: u64) {
+        self.scope = sr_key(self.seed, id);
+        self.site = 0;
+        self.keys.clear();
     }
+
+    /// Claims the next rounding site as a scope of its own, for a unit
+    /// (the routing loop) that rounds at several sites and may run per
+    /// sample: its sites are numbered inside the returned context.
+    pub fn nested(&mut self) -> QuantCtx {
+        QuantCtx {
+            scope: self.point(),
+            site: 0,
+            ..self.clone()
+        }
+    }
+
+    /// The context of sample `s` of the current batch alone, for work
+    /// dispatched per sample; it rounds exactly as the whole batch would.
+    pub fn sample(&self, s: usize) -> QuantCtx {
+        QuantCtx {
+            keys: self.keys.get(s).map(|&k| vec![k]).unwrap_or_default(),
+            ..self.clone()
+        }
+    }
+
+    /// Claims the next rounding site, returning its point key.
+    fn point(&mut self) -> u64 {
+        self.site += 1;
+        sr_key(self.scope, self.site)
+    }
+
+    /// Claims the next rounding site and binds its [`FusedQuant`] writeback
+    /// epilogue for a `len`-element output spanning the current batch,
+    /// quantized to `frac` fractional bits (1 integer bit) — or `None` in
+    /// full precision. The site is claimed either way, so later point ids
+    /// never depend on `frac`.
+    pub fn fused(&mut self, frac: Option<u8>, len: usize) -> Option<FusedQuant> {
+        let point = self.point();
+        let q = Quantizer::new(QFormat::with_frac(frac?), self.scheme);
+        if self.keys.is_empty() {
+            return Some(q.fused(point));
+        }
+        debug_assert_eq!(len % self.keys.len(), 0, "output must span the batch");
+        let bases = self.keys.iter().map(|&k| sr_key(point, k)).collect();
+        Some(q.fused_per_sample(bases, len / self.keys.len()))
+    }
+
+    /// Quantizes `t` at the next rounding site to `frac` fractional bits
+    /// (1 integer bit) when `frac` is set; returns `t` unchanged otherwise.
+    pub fn round(&mut self, t: Tensor, frac: Option<u8>) -> Tensor {
+        let mut out = t;
+        if let Some(fq) = self.fused(frac, out.len()) {
+            fq.quantize_inplace(&mut out);
+        }
+        out
+    }
+}
+
+/// Key of one sample's stage input: FNV-1a over the `f32` bit patterns,
+/// with −0.0 folded into +0.0 so that equal values always give equal keys
+/// (the integer engine, which has no negative zero, hashes its words
+/// dequantized and matches the fake-quant keys exactly).
+fn sample_key(values: impl IntoIterator<Item = f32>) -> u64 {
+    values.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, v| {
+        let bits = if v == 0.0 { 0 } else { v.to_bits() };
+        (h ^ u64::from(bits)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 #[cfg(test)]
@@ -270,17 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn ctx_apply_none_is_identity() {
+    fn ctx_round_none_is_identity() {
         let mut ctx = QuantCtx::new(RoundingScheme::Truncation, 0);
         let t = Tensor::from_vec(vec![0.123, -0.456], [2]).unwrap();
-        assert_eq!(ctx.apply(t.clone(), None), t);
+        assert_eq!(ctx.round(t.clone(), None), t);
     }
 
     #[test]
-    fn ctx_apply_quantizes_onto_grid() {
+    fn ctx_round_quantizes_onto_grid() {
         let mut ctx = QuantCtx::new(RoundingScheme::RoundToNearest, 0);
         let t = Tensor::from_vec(vec![0.123, -0.456], [2]).unwrap();
-        let q = ctx.apply(t, Some(2));
+        let q = ctx.round(t, Some(2));
         assert_eq!(q.data(), &[0.0, -0.5]);
     }
 
@@ -289,7 +328,47 @@ mod tests {
         let t = Tensor::from_fn([64], |i| (i[0] as f32 / 64.0) - 0.5);
         let mut a = QuantCtx::new(RoundingScheme::Stochastic, 9);
         let mut b = QuantCtx::new(RoundingScheme::Stochastic, 9);
-        assert_eq!(a.apply(t.clone(), Some(3)), b.apply(t, Some(3)));
+        assert_eq!(a.round(t.clone(), Some(3)), b.round(t, Some(3)));
+    }
+
+    /// A sample's stochastic rounding is a function of its own stage input
+    /// and the site: the same sample rounds identically alone, in either
+    /// slot of a pair, and through its per-sample context.
+    #[test]
+    fn sample_keyed_rounding_is_batch_invariant() {
+        let sample = |k: f32| Tensor::from_fn([1, 32], move |i| (i[1] as f32 * 0.031 - 0.5) * k);
+        let (a, b) = (sample(1.0), sample(-0.7));
+        let round = |batch: &Tensor| {
+            let mut ctx = QuantCtx::new(RoundingScheme::Stochastic, 5);
+            ctx.enter_stage(1, batch.data(), batch.dims()[0], |v| v);
+            ctx.round(batch.clone(), Some(3))
+        };
+        let alone = round(&a);
+        let pair = |x: &Tensor, y: &Tensor| {
+            Tensor::from_vec([x.data(), y.data()].concat(), [2, 32]).unwrap()
+        };
+        let ba = pair(&b, &a);
+        assert_eq!(&round(&pair(&a, &b)).data()[..32], alone.data());
+        assert_eq!(&round(&ba).data()[32..], alone.data());
+        let mut ctx = QuantCtx::new(RoundingScheme::Stochastic, 5);
+        ctx.enter_stage(1, ba.data(), 2, |v| v);
+        assert_eq!(
+            ctx.sample(1).round(a.clone(), Some(3)),
+            alone,
+            "per-sample context matches the batch"
+        );
+        let nested = ctx.nested();
+        assert_ne!(
+            nested.sample(1).round(a, Some(3)),
+            alone,
+            "a nested scope has its own points"
+        );
+    }
+
+    #[test]
+    fn sample_key_folds_negative_zero() {
+        assert_eq!(sample_key([0.0, 1.5]), sample_key([-0.0, 1.5]));
+        assert_ne!(sample_key([0.25, 1.5]), sample_key([1.5, 0.25]));
     }
 
     #[test]

@@ -14,16 +14,15 @@
 //!    ([`CapsNet::infer_stage`]) checkpoints each stage's output per
 //!    evaluation batch; a candidate that shares a layer prefix with a
 //!    cached configuration re-runs only from the first stage whose
-//!    `(Qw, Qa, rounding)` differs. Disabled for stochastic rounding, whose
-//!    sequential cross-batch RNG stream makes checkpointed context state
-//!    config-dependent.
+//!    `(Qw, Qa, rounding)` differs. This holds for every scheme: stochastic
+//!    rounding is keyed per sample and rounding point, so each stage is a
+//!    pure function of its input.
 //! 3. **Early-exit scoring** — threshold probes ([`ConfigScorer::meets`])
 //!    evaluate batch by batch and stop as soon as the verdict is decided:
 //!    rejected when even a perfect score on the remaining samples cannot
 //!    reach the floor, accepted once failure is impossible. Interrupted
-//!    evaluations are memoized with their rounding-context snapshot so a
-//!    later exact [`Evaluator::accuracy`] call resumes instead of
-//!    restarting.
+//!    evaluations are memoized with their progress so a later exact
+//!    [`Evaluator::accuracy`] call resumes instead of restarting.
 
 use qcn_capsnet::{argmax_caps, CapsNet, GroupInfo, LayerQuant, ModelQuant, QuantCtx};
 use qcn_datasets::Dataset;
@@ -222,9 +221,6 @@ struct PartialEval {
     correct: usize,
     seen: usize,
     batches_done: usize,
-    /// Rounding-context snapshot at the interruption point; resuming from
-    /// it consumes exactly the draws an uninterrupted pass would have.
-    ctx: QuantCtx,
 }
 
 /// Identifies a stage checkpoint: the first `depth` canonical layer
@@ -341,15 +337,15 @@ fn run_probe<M: CapsNet>(
 ) -> ProbeOutcome {
     let total = env.dataset.len();
     let qmodel = env.model.with_quantized_weights(config);
-    let (mut correct, mut seen, start_batch, mut ctx) = match resume {
-        Some(p) => (p.correct, p.seen, p.batches_done, p.ctx.clone()),
-        None => (0, 0, 0, QuantCtx::from_config(config)),
+    let (mut correct, mut seen, start_batch) = match resume {
+        Some(p) => (p.correct, p.seen, p.batches_done),
+        None => (0, 0, 0),
     };
-    // Stochastic rounding draws one sequential stream across the whole
-    // evaluation, so a checkpoint's context state would depend on the
-    // suffix draws of the config that produced it: reuse is only sound for
-    // schemes that never consume the RNG.
-    let reuse = env.reuse && config.scheme != RoundingScheme::Stochastic;
+    // Every stage is a pure function of its input and config (stochastic
+    // rounding is keyed per sample and rounding point), so checkpoints are
+    // reusable and a resumed probe needs no rounding state.
+    let mut ctx = QuantCtx::from_config(config);
+    let reuse = env.reuse;
     let mut checkpoints = Vec::new();
     let mut delta = ProbeDelta::default();
     // The shared cache is frozen for the whole probe (probes may run
@@ -426,7 +422,6 @@ fn run_probe<M: CapsNet>(
                             correct,
                             seen,
                             batches_done: bi + 1,
-                            ctx,
                         }),
                         verdict,
                         checkpoints,

@@ -37,5 +37,5 @@ pub use format::QFormat;
 pub use fx::Fx;
 pub use quantize::{FusedQuant, QuantizationStats, Quantizer};
 pub use requant::{requant_raw, requant_slice_with};
-pub use rounding::{sr_uniform, RoundingScheme};
+pub use rounding::{sr_key, sr_uniform, RoundingScheme};
 pub use units::{fx_softmax, fx_squash, int_softmax, int_squash};

@@ -11,6 +11,7 @@ use crate::rounding::sr_uniform;
 use crate::{QFormat, RoundingScheme};
 use qcn_tensor::Tensor;
 use rand::Rng;
+use std::ops::Range;
 
 /// A complete quantization recipe: a grid plus a rounding rule.
 ///
@@ -63,29 +64,41 @@ impl Quantizer {
         self.scheme.round_slice(t.data_mut(), self.format, rng);
     }
 
-    /// Binds this recipe to a position-keyed stochastic stream, producing
-    /// the epilogue the fused kernels apply at writeback time.
+    /// Binds this recipe to one position-keyed stochastic stream over the
+    /// whole tensor, producing the epilogue the fused kernels apply at
+    /// writeback time.
     pub fn fused(&self, sr_base: u64) -> FusedQuant {
+        self.fused_per_sample(vec![sr_base], usize::MAX)
+    }
+
+    /// Binds this recipe to one stream per sample: the tensor is read as
+    /// consecutive samples of `sample_len` elements, and sample `s` is
+    /// keyed by `bases[s]`.
+    pub fn fused_per_sample(&self, bases: Vec<u64>, sample_len: usize) -> FusedQuant {
         FusedQuant {
             quantizer: *self,
-            sr_base,
+            bases,
+            sample_len: sample_len.max(1),
         }
     }
 }
 
 /// A quantization recipe bound to a *position-keyed* stochastic stream:
-/// element `i` of the output tensor always draws [`sr_uniform`]`(sr_base, i)`,
-/// no matter which worker thread, tile, or pass produces it.
+/// element `pos` draws [`sr_uniform`]`(bases[pos / sample_len], pos %
+/// sample_len)` — a pure function of its sample's key and its offset in
+/// that sample, no matter which batch slot, worker thread, tile, or pass
+/// produces it.
 ///
 /// This is what makes fusing rounding into the blocked kernels safe: the
 /// kernel calls [`FusedQuant::apply`] on each finished row with the row's
 /// global element offset, and the result is bit-identical to
 /// [`FusedQuant::quantize_inplace`] — a sequential round-after pass over the
 /// whole tensor — for every rounding scheme and thread count.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct FusedQuant {
     quantizer: Quantizer,
-    sr_base: u64,
+    bases: Vec<u64>,
+    sample_len: usize,
 }
 
 impl FusedQuant {
@@ -100,17 +113,39 @@ impl FusedQuant {
         self.quantizer
     }
 
+    /// Splits the elements `offset..offset + len` at sample boundaries,
+    /// yielding `(run, base, at)`: a sub-range of `0..len`, its sample's
+    /// key, and the in-sample offset of its first element — element
+    /// `run.start + i` draws `sr_uniform(base, at + i)`.
+    pub fn runs(
+        &self,
+        offset: usize,
+        len: usize,
+    ) -> impl Iterator<Item = (Range<usize>, u64, usize)> + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let pos = offset + i;
+            let (sample, at) = (pos / self.sample_len, pos % self.sample_len);
+            let n = (self.sample_len - at).min(len - i);
+            i += n;
+            (n > 0).then(|| (i - n..i, self.bases[sample], at))
+        })
+    }
+
     /// Rounds a finished slice whose first element is global output element
     /// `offset`. Kernels call this once per completed row/tile while the
     /// data is still cache-hot.
     #[inline]
     pub fn apply(&self, offset: usize, values: &mut [f32]) {
-        let base = self.sr_base;
-        self.quantizer
-            .scheme
-            .round_slice_with(values, self.quantizer.format, |i| {
-                sr_uniform(base, (offset + i) as u64)
-            })
+        let Quantizer { format, scheme } = self.quantizer;
+        if scheme != RoundingScheme::Stochastic {
+            return scheme.round_slice_with(values, format, |_| 0.0);
+        }
+        for (run, base, at) in self.runs(offset, values.len()) {
+            scheme.round_slice_with(&mut values[run], format, |i| {
+                sr_uniform(base, (at + i) as u64)
+            });
+        }
     }
 
     /// The round-after reference: one separate pass over the whole tensor,
@@ -305,6 +340,30 @@ mod tests {
             quant.fused(99).quantize_inplace(&mut fused);
             assert_eq!(fused, reference, "{scheme}");
         }
+    }
+
+    #[test]
+    fn per_sample_stream_keys_each_sample_by_its_own_offsets() {
+        // Tiles straddling sample boundaries must draw exactly
+        // sr_uniform(bases[pos / len], pos % len) per element.
+        let (bases, len) = (vec![3u64, 1 << 40, 77], 10usize);
+        let quant = Quantizer::new(QFormat::with_frac(3), RoundingScheme::Stochastic);
+        let fq = quant.fused_per_sample(bases.clone(), len);
+        let t = Tensor::rand_uniform([3 * len], -0.9, 0.9, &mut rng());
+        let mut tiled = t.clone();
+        for (start, end) in [(0, 7), (7, 13), (13, 30)] {
+            fq.apply(start, &mut tiled.data_mut()[start..end]);
+        }
+        let want: Vec<f32> = t
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(pos, &x)| {
+                let u = sr_uniform(bases[pos / len], (pos % len) as u64);
+                RoundingScheme::Stochastic.round_raw(x, quant.format(), u)
+            })
+            .collect();
+        assert_eq!(tiled.data(), &want[..]);
     }
 
     #[test]

@@ -153,23 +153,37 @@ impl RoundingScheme {
 /// Deterministic uniform draw in `[0, 1)` for output element `index` of a
 /// stochastic-rounding stream keyed by `base`.
 ///
-/// The element key uses the same golden-ratio stride as `QuantCtx::fork`
-/// (`base + index · 0x9E3779B97F4A7C15`), finalized with the SplitMix64
-/// mixer, so consecutive elements get decorrelated draws while any element
-/// can be drawn independently of the others — the property that lets a
-/// tiled, multi-threaded kernel epilogue reproduce the exact bits of a
-/// sequential round-after pass.
+/// The element key is `base + index · 0x9E3779B97F4A7C15` (a golden-ratio
+/// stride), finalized with the SplitMix64 mixer, so consecutive elements
+/// get decorrelated draws while any element can be drawn independently of
+/// the others — the property that lets a tiled, multi-threaded kernel
+/// epilogue reproduce the exact bits of a sequential round-after pass.
 #[inline]
 pub fn sr_uniform(base: u64, index: u64) -> f64 {
-    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut z = base
-        .wrapping_add(index.wrapping_mul(GOLDEN))
-        .wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64(
+        base.wrapping_add(index.wrapping_mul(GOLDEN))
+            .wrapping_add(GOLDEN),
+    );
     // 53 high bits → uniform on the f64-representable grid of [0, 1).
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Derives a stream key from a parent key and a child id (a rounding
+/// point within a scope, or a sample within a point): SplitMix64 over the
+/// combination, so sibling ids give decorrelated keys.
+#[inline]
+pub fn sr_key(parent: u64, child: u64) -> u64 {
+    mix64(parent ^ mix64(child.wrapping_add(GOLDEN)))
+}
+
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The shared scalar core behind [`RoundingScheme::round`],

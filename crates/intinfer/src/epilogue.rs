@@ -1,119 +1,88 @@
-//! Requantization epilogues that mirror the fake-quant reference's
-//! rounding sites and stochastic draw discipline exactly.
+//! The requantization epilogue that mirrors the fake-quant reference's
+//! rounding sites and stochastic draws exactly.
 //!
-//! The reference path rounds at two kinds of sites:
-//!
-//! * **Keyed** sites (kernel writeback epilogues): one
-//!   [`QuantCtx::fork_base`] draw binds a [`qcn_fixed::FusedQuant`], then
-//!   every element draws `sr_uniform(base, position)` — thread-count
-//!   independent. [`KeyedRequant`] reproduces this on raw integers (and,
-//!   for the float-exact unit emulation, on `f32` slices).
-//! * **Sequential** sites (the routing loop): the context's own RNG draws
-//!   one uniform per element in slice order. [`seq_requant`] consumes the
-//!   same draws through [`QuantCtx::sr_draw`].
+//! Every reference rounding site claims a point from its [`QuantCtx`] and
+//! binds a [`FusedQuant`]: each element draws `sr_uniform` keyed by its
+//! sample and its offset within that sample — thread-count and batch
+//! independent. [`KeyedRequant`] reproduces this on raw integers (and, for
+//! the float-exact unit emulation, on `f32` slices); the engine claims
+//! its points in the reference's site order.
 //!
 //! Because `qcn_fixed::requant_raw` is bit-identical to the f32
 //! `round_raw` for every exactly-representable value, an integer pass
-//! through these epilogues produces the same bits as the reference
+//! through this epilogue produces the same bits as the reference
 //! whenever the accumulators stay within f32's 24-bit exact window.
 
 use qcn_capsnet::QuantCtx;
-use qcn_fixed::{requant_slice_with, sr_uniform, QFormat, RoundingScheme};
+use qcn_fixed::{requant_slice_with, sr_uniform, FusedQuant, RoundingScheme};
 
-/// A position-keyed requantization epilogue bound to one kernel dispatch —
-/// the raw-integer counterpart of [`qcn_fixed::FusedQuant`].
-#[derive(Debug, Clone, Copy)]
+/// A position-keyed requantization epilogue bound to one rounding site —
+/// the raw-integer counterpart of [`FusedQuant`], which it wraps.
+#[derive(Debug, Clone)]
 pub struct KeyedRequant {
-    scheme: RoundingScheme,
     in_frac: u8,
-    out: QFormat,
-    base: u64,
+    fq: FusedQuant,
 }
 
 impl KeyedRequant {
-    /// Binds an epilogue for one dispatch: input values at `in_frac`
-    /// fractional bits, output on the `Q1.out_frac` grid, stochastic
-    /// stream keyed from `base` (a fresh [`QuantCtx::fork_base`] draw).
-    pub fn new(scheme: RoundingScheme, in_frac: u8, out_frac: u8, base: u64) -> Self {
-        KeyedRequant {
-            scheme,
-            in_frac,
-            out: QFormat::with_frac(out_frac),
-            base,
-        }
+    /// Wraps the epilogue `fq` for input values at `in_frac` fractional
+    /// bits; the output lands on `fq`'s grid.
+    pub fn new(in_frac: u8, fq: FusedQuant) -> Self {
+        KeyedRequant { in_frac, fq }
+    }
+
+    /// Claims `ctx`'s next rounding site — exactly as the reference does
+    /// with `QuantCtx::fused` — for a `len`-element output requantized
+    /// from `in_frac` to `out_frac` fractional bits.
+    pub fn bind(ctx: &mut QuantCtx, in_frac: u8, out_frac: u8, len: usize) -> Self {
+        let fq = ctx.fused(Some(out_frac), len).expect("a width is set");
+        KeyedRequant::new(in_frac, fq)
     }
 
     /// The output fractional width.
     pub fn out_frac(&self) -> u8 {
-        self.out.frac_bits()
+        self.fq.quantizer().format().frac_bits()
     }
 
     /// Requantizes raw values whose first element sits at global position
-    /// `offset` — same keying as [`qcn_fixed::FusedQuant::apply`].
+    /// `offset` — same keying as [`FusedQuant::apply`].
     pub fn apply_raw(&self, offset: usize, values: &mut [i64]) {
-        requant_slice_with(self.scheme, values, self.in_frac, self.out, |i| {
-            sr_uniform(self.base, (offset + i) as u64)
-        });
+        let (scheme, out) = (self.fq.quantizer().scheme(), self.fq.quantizer().format());
+        if scheme != RoundingScheme::Stochastic {
+            return requant_slice_with(scheme, values, self.in_frac, out, |_| 0.0);
+        }
+        for (run, base, at) in self.fq.runs(offset, values.len()) {
+            requant_slice_with(scheme, &mut values[run], self.in_frac, out, |i| {
+                sr_uniform(base, (at + i) as u64)
+            });
+        }
     }
 
-    /// Rounds `f32` values with the *same* keyed stream — used by the
-    /// float-exact unit emulation, whose squash/softmax outputs are not on
-    /// any grid before this rounding. Bit-identical to the reference's
-    /// `FusedQuant::apply` at the same offset.
-    pub fn apply_f32(&self, offset: usize, values: &mut [f32]) {
-        self.scheme.round_slice_with(values, self.out, |i| {
-            sr_uniform(self.base, (offset + i) as u64)
-        });
+    /// The wrapped f32 epilogue — the float-exact unit emulation rounds
+    /// its (off-grid) squash/softmax outputs through it, exactly as the
+    /// reference does.
+    pub fn fused(&self) -> &FusedQuant {
+        &self.fq
     }
-}
-
-/// Requantizes a raw slice through the context's sequential stream: one
-/// [`QuantCtx::sr_draw`] per element in slice order under stochastic
-/// rounding (even when the shift is an exact widening), none otherwise —
-/// exactly the draws [`QuantCtx::round_slice`] would consume on the f32
-/// form of the same values.
-pub(crate) fn seq_requant(ctx: &mut QuantCtx, values: &mut [i64], in_frac: u8, out_frac: u8) {
-    let scheme = ctx.scheme();
-    requant_slice_with(
-        scheme,
-        values,
-        in_frac,
-        QFormat::with_frac(out_frac),
-        |_| ctx.sr_draw(),
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tensor::raw_to_f32;
+    use qcn_fixed::{QFormat, Quantizer};
 
     #[test]
     fn keyed_raw_and_f32_paths_agree() {
-        let rq = KeyedRequant::new(RoundingScheme::Stochastic, 9, 4, 0xFEED);
+        let fq = Quantizer::new(QFormat::with_frac(4), RoundingScheme::Stochastic)
+            .fused_per_sample(vec![0xFEED, 0xBEEF, 7], 23);
+        let rq = KeyedRequant::new(9, fq);
         let raws: Vec<i64> = (-30..30).map(|i| i * 7).collect();
         let mut ints = raws.clone();
-        rq.apply_raw(100, &mut ints);
+        rq.apply_raw(5, &mut ints);
         let mut floats: Vec<f32> = raws.iter().map(|&r| raw_to_f32(r, 9)).collect();
-        rq.apply_f32(100, &mut floats);
+        rq.fused().apply(5, &mut floats);
         let got: Vec<f32> = ints.iter().map(|&r| raw_to_f32(r, 4)).collect();
         assert_eq!(got, floats);
-    }
-
-    #[test]
-    fn sequential_draws_match_ctx_round_slice() {
-        // The integer sequential requant must consume exactly the draws of
-        // the reference's QuantCtx::round_slice on the same values.
-        let raws: Vec<i64> = (-20..20).map(|i| i * 11).collect();
-        let mut ints = raws.clone();
-        let mut ctx_a = QuantCtx::new(RoundingScheme::Stochastic, 7);
-        seq_requant(&mut ctx_a, &mut ints, 8, 3);
-        let mut floats: Vec<f32> = raws.iter().map(|&r| raw_to_f32(r, 8)).collect();
-        let mut ctx_b = QuantCtx::new(RoundingScheme::Stochastic, 7);
-        ctx_b.round_slice(&mut floats, Some(3));
-        let got: Vec<f32> = ints.iter().map(|&r| raw_to_f32(r, 3)).collect();
-        assert_eq!(got, floats);
-        // Both contexts must have advanced identically.
-        assert_eq!(ctx_a.sr_draw(), ctx_b.sr_draw());
     }
 }

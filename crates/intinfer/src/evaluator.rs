@@ -7,7 +7,7 @@ use crate::units::UnitMode;
 use qcapsnets::export::pack_model;
 use qcapsnets::ConfigScorer;
 use qcn_capsnet::descriptor::ModelDesc;
-use qcn_capsnet::{accuracy, CapsNet, GroupInfo, ModelQuant, QuantCtx};
+use qcn_capsnet::{accuracy, CapsNet, GroupInfo, ModelQuant};
 use qcn_datasets::Dataset;
 use qcn_tensor::Tensor;
 use std::collections::HashMap;
@@ -98,14 +98,12 @@ impl<'a, M: CapsNet> IntEvaluator<'a, M> {
         match IntModel::load(&self.desc, &packed) {
             Ok(engine) => {
                 self.integer_runs += 1;
-                let mut ctx = QuantCtx::from_config(config);
                 let mut correct = 0usize;
                 let indices: Vec<usize> = (0..self.dataset.len()).collect();
                 for chunk in indices.chunks(self.batch_size) {
                     let (images, labels) = self.dataset.batch(chunk);
                     let gridded = snap_to_grid(&images, self.in_frac);
-                    let preds =
-                        engine.predict_with_ctx(&gridded, self.in_frac, self.mode, &mut ctx);
+                    let preds = engine.predict(&gridded, self.in_frac, self.mode);
                     correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
                 }
                 correct as f32 / self.dataset.len() as f32

@@ -45,5 +45,5 @@ mod units;
 
 pub use evaluator::IntEvaluator;
 pub use model::{IntModel, LoadError};
-pub use tensor::{f32_to_raw, flatten_caps_raw, raw_to_f32, IntTensor};
+pub use tensor::{f32_to_raw, flatten_caps_raw, on_grid, raw_to_f32, IntTensor};
 pub use units::UnitMode;

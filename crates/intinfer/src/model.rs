@@ -4,13 +4,12 @@
 use crate::epilogue::KeyedRequant;
 use crate::kernels::{caps_votes_raw, conv2d_raw};
 use crate::routing::{route_per_sample_raw, RoutingSpec};
-use crate::tensor::{flatten_caps_raw, IntTensor};
+use crate::tensor::{flatten_caps_raw, raw_to_f32, IntTensor};
 use crate::units::{squash_blocks_requant, UnitMode};
 use qcapsnets::export::{unpack_raw_weights, PackedModel};
 use qcn_capsnet::descriptor::{BlockDesc, GroupDesc, LayerDesc, ModelDesc};
 use qcn_capsnet::layers::Activation;
-use qcn_capsnet::{ModelQuant, QuantCtx};
-use qcn_tensor::parallel;
+use qcn_capsnet::{argmax_caps, ModelQuant, QuantCtx};
 use qcn_tensor::Tensor;
 use std::fmt;
 
@@ -346,48 +345,39 @@ impl IntModel {
     /// values lie on the `2^-in_frac` input grid, returning exact-
     /// dequantized output capsules `[b, classes, dim]`.
     ///
-    /// A fresh [`QuantCtx`] is seeded from the packed configuration, so
-    /// under stochastic rounding this consumes the same random stream as
-    /// `CapsNet::infer` with the same config — in [`UnitMode::FloatExact`]
-    /// the logits are bit-identical to that reference.
+    /// Stochastic rounding is keyed exactly like `CapsNet::infer` with the
+    /// packed configuration (same seed, rounding points and per-sample
+    /// keys), so in [`UnitMode::FloatExact`] the logits are bit-identical
+    /// to that reference under every scheme.
     ///
     /// # Panics
     ///
-    /// Panics when an input value is off-grid or the batch geometry does
-    /// not match the model.
+    /// Panics when an input value is off-grid (see [`crate::on_grid`]) or the
+    /// batch geometry does not match the model.
     pub fn infer(&self, x: &Tensor, in_frac: u8, mode: UnitMode) -> Tensor {
-        let mut ctx = QuantCtx::from_config(&self.config);
-        self.infer_with_ctx(x, in_frac, mode, &mut ctx)
-    }
-
-    /// [`infer`](IntModel::infer) with a caller-managed context (so one
-    /// stochastic stream can span a multi-batch evaluation, as
-    /// `qcn_capsnet::accuracy` does).
-    pub fn infer_with_ctx(
-        &self,
-        x: &Tensor,
-        in_frac: u8,
-        mode: UnitMode,
-        ctx: &mut QuantCtx,
-    ) -> Tensor {
         let input = IntTensor::from_f32_on_grid(x, in_frac);
-        self.infer_raw(input, mode, ctx).to_f32()
+        self.infer_raw(input, mode).to_f32()
     }
 
     /// The raw-in/raw-out forward pass.
     ///
-    /// Each group is wrapped in a telemetry span recording its wall time
+    /// Each group is one pipeline stage: it enters its [`QuantCtx`] stage
+    /// with the group input dequantized (the reference's stage input, bit
+    /// for bit), and is wrapped in a telemetry span recording its wall time
     /// into the global `qcn_stage_duration_us` histogram under
     /// `engine="integer"`, mirroring the fake-quant engine's stage spans.
     /// Timing only reads the clock; the integer datapath is untouched.
-    pub fn infer_raw(&self, mut cur: IntTensor, mode: UnitMode, ctx: &mut QuantCtx) -> IntTensor {
+    pub fn infer_raw(&self, mut cur: IntTensor, mode: UnitMode) -> IntTensor {
         let names: Option<Vec<String>> = if qcn_telemetry::timing_enabled() {
             Some(self.groups.iter().map(|g| g.name.clone()).collect())
         } else {
             None
         };
+        let mut ctx = QuantCtx::from_config(&self.config);
         for (s, group) in self.groups.iter().enumerate() {
             let _t = qcn_capsnet::stage_span("integer", &self.name, names.as_deref(), s);
+            let frac = cur.frac();
+            ctx.enter_stage(s, cur.data(), cur.dims()[0], |r| raw_to_f32(r, frac));
             match &group.desc {
                 GroupDesc::Layer(layer) => {
                     if let LayerDesc::CapsFc { in_dim, .. } = layer {
@@ -405,11 +395,11 @@ impl IntModel {
                         dr,
                         cur,
                         mode,
-                        ctx,
+                        &mut ctx,
                     );
                 }
                 GroupDesc::Block(block) => {
-                    cur = run_block(block, &group.bits, &group.params, cur, mode, ctx);
+                    cur = run_block(block, &group.bits, &group.params, cur, mode, &mut ctx);
                 }
             }
         }
@@ -417,58 +407,21 @@ impl IntModel {
     }
 
     /// Classifies a batch on the integer datapath: [`infer`](IntModel::infer)
-    /// followed by the capsule-length argmax of the reference `predict`
-    /// (first maximum wins). The lengths are computed on the exact
+    /// followed by the reference's capsule-length argmax
+    /// ([`argmax_caps`]). The lengths are computed on the exact
     /// dequantized capsules, so in [`UnitMode::FloatExact`] the
     /// predictions equal the reference's bit for bit.
     pub fn predict(&self, x: &Tensor, in_frac: u8, mode: UnitMode) -> Vec<usize> {
-        let mut ctx = QuantCtx::from_config(&self.config);
-        self.predict_with_ctx(x, in_frac, mode, &mut ctx)
-    }
-
-    /// [`predict`](IntModel::predict) with a caller-managed context.
-    pub fn predict_with_ctx(
-        &self,
-        x: &Tensor,
-        in_frac: u8,
-        mode: UnitMode,
-        ctx: &mut QuantCtx,
-    ) -> Vec<usize> {
-        let caps = self.infer_with_ctx(x, in_frac, mode, ctx);
-        let (b, classes, dim) = (caps.dims()[0], caps.dims()[1], caps.dims()[2]);
-        assert!(classes > 0, "predict with zero classes");
-        let mut preds = vec![0usize; b];
-        let data = caps.data();
-        parallel::par_chunks_mut(&mut preds, 1, 64, |s, slot| {
-            let sample = &data[s * classes * dim..(s + 1) * classes * dim];
-            let length = |k: usize| {
-                sample[k * dim..(k + 1) * dim]
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f32>()
-                    .sqrt()
-            };
-            let mut best = 0usize;
-            let mut best_len = length(0);
-            for k in 1..classes {
-                let len = length(k);
-                if len > best_len {
-                    best = k;
-                    best_len = len;
-                }
-            }
-            slot[0] = best;
-        });
-        preds
+        argmax_caps(&self.infer(x, in_frac, mode))
     }
 }
 
 /// Executes one primitive layer. `out_frac` is the width its output is
 /// stored at (`Qa` for standalone layers, the streaming width inside
-/// DeepCaps blocks); `dr` the routing width where applicable. The
-/// `fork_base` draws mirror the reference layer implementations exactly —
-/// conv/ConvCaps bind their epilogue before the kernel, ConvCapsRouting
-/// binds one per input type inside its loop.
+/// DeepCaps blocks); `dr` the routing width where applicable. Rounding
+/// points are claimed in the reference layers' site order — conv/ConvCaps
+/// bind their epilogue before the kernel, ConvCapsRouting binds one per
+/// input type inside its loop, routing claims one nested point.
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     layer: &LayerDesc,
@@ -480,7 +433,6 @@ fn run_layer(
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
-    let scheme = ctx.scheme();
     match layer {
         LayerDesc::Conv2d {
             out_channels,
@@ -489,7 +441,9 @@ fn run_layer(
             ..
         } => {
             let acc = x.frac() + w_frac;
-            let rq = KeyedRequant::new(scheme, acc, out_frac, ctx.fork_base());
+            let (oh, ow) = spec.output_hw(x.dims()[2], x.dims()[3]);
+            let len = x.dims()[0] * out_channels * oh * ow;
+            let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
             let act = *activation;
             let one = 1i64 << acc;
             let epi = move |off: usize, row: &mut [i64]| {
@@ -529,7 +483,7 @@ fn run_layer(
                 .reshape(vec![b, *types, *dim, oh * ow])
                 .permute(&[0, 1, 3, 2])
                 .reshape(vec![b, types * oh * ow, *dim]);
-            let rq = KeyedRequant::new(scheme, acc, out_frac, ctx.fork_base());
+            let rq = KeyedRequant::bind(ctx, acc, out_frac, caps.data().len());
             squash_blocks_requant(mode, caps.data_mut(), acc, *dim, 1, &rq);
             caps.set_frac(out_frac);
             caps
@@ -545,7 +499,8 @@ fn run_layer(
             let (oh, ow) = spec.output_hw(h, w);
             let acc = x.frac() + w_frac;
             // The reference binds the epilogue before branching on squash.
-            let rq = KeyedRequant::new(scheme, acc, out_frac, ctx.fork_base());
+            let len = b * types * dim * oh * ow;
+            let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
             if !squash {
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
                 return conv2d_raw(
@@ -589,9 +544,9 @@ fn run_layer(
             let mut votes =
                 IntTensor::zeros(vec![b, *in_types, *out_types, *out_dim, s_spatial], dr);
             for ti in 0..*in_types {
-                // One epilogue stream per input type, drawn inside the
+                // One rounding point per input type, claimed inside the
                 // loop — same order as the reference's per-type fused conv.
-                let rq = KeyedRequant::new(scheme, acc, dr, ctx.fork_base());
+                let rq = KeyedRequant::bind(ctx, acc, dr, b * out_ch * s_spatial);
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
                 let x_t = x.slice_channels(ti * in_dim, *in_dim);
                 let w_t = &params[0][ti * per_type..(ti + 1) * per_type];
@@ -627,7 +582,8 @@ fn run_layer(
         } => {
             let b = x.dims()[0];
             let acc = x.frac() + w_frac;
-            let rq = KeyedRequant::new(scheme, acc, dr, ctx.fork_base());
+            let len = b * in_caps * out_caps * out_dim;
+            let rq = KeyedRequant::bind(ctx, acc, dr, len);
             let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
             let votes = caps_votes_raw(&x, &params[0], *out_caps, *out_dim, dr, &epi)
                 .reshape(vec![b, *in_caps, *out_caps, *out_dim, 1]);
@@ -654,7 +610,7 @@ fn run_layer(
 /// The three branch layers stream at `stream_frac`; the residual sum is
 /// exact integer addition on that shared grid; the block-output squash
 /// requantizes to `Qa` through a keyed epilogue — all in the reference's
-/// call order, so the stochastic stream advances identically.
+/// call order, so every site claims the reference's rounding point.
 fn run_block(
     block: &BlockDesc,
     bits: &GroupBits,
@@ -704,7 +660,8 @@ fn run_block(
         *o += v;
     }
     let mut grouped = sum.reshape(vec![b, block.types, block.dim, h * w]);
-    let rq = KeyedRequant::new(ctx.scheme(), stream, bits.act, ctx.fork_base());
+    let len = grouped.data().len();
+    let rq = KeyedRequant::bind(ctx, stream, bits.act, len);
     squash_blocks_requant(mode, grouped.data_mut(), stream, block.dim, h * w, &rq);
     grouped.set_frac(bits.act);
     grouped.reshape(vec![b, block.types * block.dim, h, w])

@@ -8,13 +8,13 @@
 //! (or the layer's output width on the last iteration); between
 //! iterations the agreement update accumulates at `2·Q_DR` and the logits
 //! are re-rounded (clamping into Q1 range, as the reference's rounding
-//! does). Every requantization consumes the forked context's sequential
-//! stream in exactly the reference's draw order, so stochastic rounding
-//! is bit-identical too.
+//! does). Every requantization claims its rounding point in the
+//! reference's site order and draws from the same keyed stream, so
+//! stochastic rounding is bit-identical too.
 
-use crate::epilogue::seq_requant;
+use crate::epilogue::KeyedRequant;
 use crate::tensor::IntTensor;
-use crate::units::{softmax_over_types, squash_routing, UnitMode};
+use crate::units::{softmax_over_types, squash_blocks_requant, UnitMode};
 use qcn_capsnet::QuantCtx;
 use qcn_tensor::parallel;
 
@@ -57,14 +57,17 @@ fn dynamic_routing_raw(
     let row = dd * s;
     debug_assert_eq!(votes.len(), ti * to * row);
     let acc_frac = 2 * dr;
+    let mut requant = |in_frac, out_frac, len| KeyedRequant::bind(ctx, in_frac, out_frac, len);
     let mut logits = vec![0i64; ti * to * s];
     let mut v = vec![0i64; to * row];
     for iter in 0..iters {
         // c = softmax(b) over output types — operand and result at Q_DR.
+        let rq = requant(dr, dr, logits.len());
         let mut c = logits.clone();
-        softmax_over_types(mode, &mut c, ti, to, s, dr, ctx);
+        softmax_over_types(mode, &mut c, ti, to, s, dr, &rq);
         // s = Σ_i c·û: exact integer products at 2·Q_DR, each output row
         // requantized to Q_DR as it leaves the accumulator.
+        let rq = requant(acc_frac, dr, v.len());
         let mut s_pre = vec![0i64; to * row];
         for j in 0..to {
             let orow = &mut s_pre[j * row..(j + 1) * row];
@@ -78,23 +81,17 @@ fn dynamic_routing_raw(
                     }
                 }
             }
-            seq_requant(ctx, orow, acc_frac, dr);
+            rq.apply_raw(j * row, orow);
         }
         let last = iter + 1 == iters;
         // Squash along Do; intermediate v stays at Q_DR, the final output
         // is the layer activation at Qa.
-        squash_routing(
-            mode,
-            &mut s_pre,
-            dr,
-            dd,
-            s,
-            if last { out_frac } else { dr },
-            ctx,
-        );
+        let rq = requant(dr, if last { out_frac } else { dr }, v.len());
+        squash_blocks_requant(mode, &mut s_pre, dr, dd, s, &rq);
         v = s_pre;
         if !last {
             // a = Σ_d û·v at 2·Q_DR, requantized per [to, s] row group.
+            let rq = requant(acc_frac, dr, logits.len());
             let mut agreement = vec![0i64; ti * to * s];
             for i in 0..ti {
                 let group = &mut agreement[i * to * s..(i + 1) * to * s];
@@ -108,24 +105,25 @@ fn dynamic_routing_raw(
                         }
                     }
                 }
-                seq_requant(ctx, group, acc_frac, dr);
+                rq.apply_raw(i * to * s, group);
             }
             // b += a — the add is exact on the shared grid; the requant
-            // clamps back into Q1.dr range and consumes one draw per
-            // element under SR, exactly like the reference's rounding.
+            // clamps back into Q1.dr range, exactly like the reference's
+            // rounding.
             for (l, &a) in logits.iter_mut().zip(&agreement) {
                 *l += a;
             }
-            seq_requant(ctx, &mut logits, dr, dr);
+            requant(dr, dr, logits.len()).apply_raw(0, &mut logits);
         }
     }
     v
 }
 
 /// Routes each sample of `votes` `[b, ti, to, dd, s]` independently through
-/// the thread pool with per-sample forked contexts — the raw mirror of
-/// `qcn_capsnet::layers::route_per_sample`, sharing its fork discipline so
-/// stochastic rounding is identical for every thread count. Returns
+/// the thread pool — the raw mirror of `route_per_sample` in
+/// `qcn_capsnet::layers`: the routing claims one nested rounding point and
+/// each sample runs on its `QuantCtx::sample` view, so stochastic rounding
+/// is identical for every thread count and batch composition. Returns
 /// `[b, 1, to, dd, s]` at `p.out_frac`.
 pub(crate) fn route_per_sample_raw(
     votes: &IntTensor,
@@ -137,19 +135,17 @@ pub(crate) fn route_per_sample_raw(
     let per_sample = p.ti * p.to * p.dd * p.s;
     let out_len = p.to * p.dd * p.s;
     let mut out = IntTensor::zeros(vec![b, 1, p.to, p.dd, p.s], p.out_frac);
+    let routing = ctx.nested();
     if out_len == 0 || b == 0 {
         return out;
     }
-    let base = ctx.fork_base();
     let vdata = votes.data();
-    let ctx_ref = &*ctx;
     parallel::par_chunks_mut(out.data_mut(), out_len, 1, |sample, chunk| {
-        let mut sctx = ctx_ref.fork(base, sample as u64);
         let v = dynamic_routing_raw(
             &vdata[sample * per_sample..(sample + 1) * per_sample],
             p,
             mode,
-            &mut sctx,
+            &mut routing.sample(sample),
         );
         chunk.copy_from_slice(&v);
     });

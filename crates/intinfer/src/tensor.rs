@@ -30,6 +30,12 @@ pub fn raw_to_f32(raw: i64, frac: u8) -> f32 {
     (raw as f64 * (-(frac as f64)).exp2()) as f32
 }
 
+/// Whether `v` lies on the `2^-frac` grid: finite and an exact multiple
+/// of the grid step — the values [`IntTensor::from_f32_on_grid`] accepts.
+pub fn on_grid(v: f32, frac: u8) -> bool {
+    (v as f64 * (frac as f64).exp2()).fract() == 0.0
+}
+
 /// Exactly converts an on-grid `f32` back to its raw index at `frac`
 /// fractional bits.
 ///
@@ -87,13 +93,8 @@ impl IntTensor {
             .data()
             .iter()
             .map(|&v| {
-                let scaled = v as f64 * eps;
-                assert_eq!(
-                    scaled,
-                    scaled.trunc(),
-                    "input value {v} off the 2^-{frac} grid"
-                );
-                scaled as i64
+                assert!(on_grid(v, frac), "input value {v} off the 2^-{frac} grid");
+                (v as f64 * eps) as i64
             })
             .collect();
         IntTensor {

@@ -6,19 +6,19 @@
 //! reference is inside these units. [`UnitMode`] selects how they run:
 //!
 //! * [`UnitMode::FloatExact`] dequantizes the unit's operands (exact — they
-//!   are on-grid and well inside f32's 24-bit window), replays the
-//!   reference implementation's f32 operations in its exact order, rounds
-//!   through the same epilogue discipline, and converts the on-grid result
-//!   back to raw form. This mode is bit-identical to the reference end to
+//!   are on-grid and well inside f32's 24-bit window), runs the reference
+//!   squash (or replays the reference softmax's f32 operations in their
+//!   exact order), rounds through the same keyed epilogue, and converts
+//!   the on-grid result back to raw form. This mode is bit-identical to the reference end to
 //!   end and models a deployment with a small float helper unit.
 //! * [`UnitMode::Integer`] evaluates the units with the pure integer
 //!   kernels of [`qcn_fixed::int_squash`] / [`qcn_fixed::int_softmax`]
 //!   (integer square root, Q-format exponential) — no float anywhere, with
 //!   the documented per-unit error bounds of a few output ulps.
 
-use crate::epilogue::{seq_requant, KeyedRequant};
+use crate::epilogue::KeyedRequant;
 use crate::tensor::{f32_to_raw, raw_to_f32};
-use qcn_capsnet::QuantCtx;
+use qcn_capsnet::layers::squash_blocks_fused;
 use qcn_fixed::{int_softmax, int_squash, QFormat};
 
 /// How the engine evaluates the nonlinear units (squash, softmax).
@@ -34,27 +34,6 @@ pub enum UnitMode {
     /// operations anywhere in the forward pass, at the cost of a few
     /// output-ulp deviation per unit from the reference.
     Integer,
-}
-
-/// The reference squash applied to one `[d, s]` block of `f32` values, in
-/// the exact loop order of `qcn_capsnet::layers::squash_blocks_fused`.
-fn squash_block_f32(blk: &mut [f32], d: usize, s: usize) {
-    debug_assert_eq!(blk.len(), d * s);
-    let mut n2 = vec![0.0f32; s];
-    for row in blk.chunks(s) {
-        for (acc, &x) in n2.iter_mut().zip(row) {
-            *acc += x * x;
-        }
-    }
-    let mut scale = vec![0.0f32; s];
-    for (sc, &n2) in scale.iter_mut().zip(&n2) {
-        *sc = n2 / (1.0 + n2) / (n2 + qcn_tensor::nn::EPS).sqrt();
-    }
-    for row in blk.chunks_mut(s) {
-        for (x, &sc) in row.iter_mut().zip(&scale) {
-            *x *= sc;
-        }
-    }
 }
 
 /// The integer squash applied to one `[d, s]` block in place: each of the
@@ -78,8 +57,9 @@ fn squash_block_int(blk: &mut [i64], d: usize, s: usize, frac: u8) {
 
 /// Squashes contiguous `[d, s]` blocks of raw values at `in_frac`
 /// fractional bits and requantizes each finished block through the keyed
-/// epilogue `rq` — the engine's mirror of `squash_blocks_fused` with a
-/// bound `FusedQuant`. On return the data sits at `rq.out_frac()`.
+/// epilogue `rq` — float-exact mode runs the reference's
+/// `squash_blocks_fused` on each dequantized block, in cache. On return
+/// the data sits at `rq.out_frac()`.
 pub(crate) fn squash_blocks_requant(
     mode: UnitMode,
     data: &mut [i64],
@@ -92,12 +72,15 @@ pub(crate) fn squash_blocks_requant(
     assert!(block > 0, "squash block must be non-empty");
     assert_eq!(data.len() % block, 0, "data must divide into [d, s] blocks");
     let out_frac = rq.out_frac();
+    let mut fblk = vec![0.0f32; block];
     for (bi, blk) in data.chunks_mut(block).enumerate() {
         match mode {
             UnitMode::FloatExact => {
-                let mut fblk: Vec<f32> = blk.iter().map(|&r| raw_to_f32(r, in_frac)).collect();
-                squash_block_f32(&mut fblk, d, s);
-                rq.apply_f32(bi * block, &mut fblk);
+                for (f, &r) in fblk.iter_mut().zip(blk.iter()) {
+                    *f = raw_to_f32(r, in_frac);
+                }
+                squash_blocks_fused(&mut fblk, d, s, None);
+                rq.fused().apply(bi * block, &mut fblk);
                 for (o, &v) in blk.iter_mut().zip(&fblk) {
                     *o = f32_to_raw(v, out_frac);
                 }
@@ -110,51 +93,15 @@ pub(crate) fn squash_blocks_requant(
     }
 }
 
-/// The routing-loop squash: all `[d, s]` blocks of one sample tensor are
-/// squashed *without* rounding, then the whole tensor is requantized
-/// through the context's sequential stream to `out_frac` — exactly the
-/// reference's `squash_blocks_fused(…, None)` followed by
-/// `ctx.round_slice`. Data enters at `in_frac` and leaves at `out_frac`.
-pub(crate) fn squash_routing(
-    mode: UnitMode,
-    data: &mut [i64],
-    in_frac: u8,
-    d: usize,
-    s: usize,
-    out_frac: u8,
-    ctx: &mut QuantCtx,
-) {
-    let block = d * s;
-    assert_eq!(data.len() % block, 0, "data must divide into [d, s] blocks");
-    match mode {
-        UnitMode::FloatExact => {
-            let mut buf: Vec<f32> = data.iter().map(|&r| raw_to_f32(r, in_frac)).collect();
-            for blk in buf.chunks_mut(block) {
-                squash_block_f32(blk, d, s);
-            }
-            ctx.round_slice(&mut buf, Some(out_frac));
-            for (o, &v) in data.iter_mut().zip(&buf) {
-                *o = f32_to_raw(v, out_frac);
-            }
-        }
-        UnitMode::Integer => {
-            for blk in data.chunks_mut(block) {
-                squash_block_int(blk, d, s, in_frac);
-            }
-            seq_requant(ctx, data, in_frac, out_frac);
-        }
-    }
-}
-
 /// The routing coupling softmax over output types, on one sample's logits
 /// `[ti, to, s]` at `dr` fractional bits, rounded back onto the `dr` grid.
 ///
 /// Float-exact mode replays `Tensor::softmax_axis(2)`'s reduction orders —
 /// max folded ascending from −∞, `exp`, sum folded ascending from zero,
-/// divide — then rounds the whole tensor through the context's sequential
-/// stream, exactly as the reference's `ctx.apply(logits.softmax_axis(2),
-/// dr)`. Integer mode runs [`int_softmax`] per `(i, sp)` lane; its output
-/// is already on the `dr` grid, so no draws are consumed.
+/// divide — then rounds the whole tensor through the site's keyed
+/// epilogue `rq`, exactly as the reference rounds `softmax_axis(2)`'s
+/// output. Integer mode runs [`int_softmax`] per `(i, sp)`
+/// lane; its output is already on the `dr` grid, so `rq` goes unused.
 pub(crate) fn softmax_over_types(
     mode: UnitMode,
     logits: &mut [i64],
@@ -162,7 +109,7 @@ pub(crate) fn softmax_over_types(
     to: usize,
     s: usize,
     dr: u8,
-    ctx: &mut QuantCtx,
+    rq: &KeyedRequant,
 ) {
     assert_eq!(logits.len(), ti * to * s, "softmax logits shape mismatch");
     match mode {
@@ -195,7 +142,7 @@ pub(crate) fn softmax_over_types(
                     }
                 }
             }
-            ctx.round_slice(&mut buf, Some(dr));
+            rq.fused().apply(0, &mut buf);
             for (o, &v) in logits.iter_mut().zip(&buf) {
                 *o = f32_to_raw(v, dr);
             }
@@ -221,6 +168,7 @@ pub(crate) fn softmax_over_types(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcn_capsnet::QuantCtx;
     use qcn_fixed::RoundingScheme;
     use qcn_tensor::Tensor;
 
@@ -232,32 +180,33 @@ mod tests {
             .map(|i| ((i * 13) % 120) as i64 - 60)
             .collect();
         let mut ints = raws.clone();
-        let mut ctx = QuantCtx::new(RoundingScheme::RoundToNearest, 0);
-        softmax_over_types(UnitMode::FloatExact, &mut ints, ti, to, s, 6, &mut ctx);
+        let scheme = RoundingScheme::Stochastic;
+        let rq = KeyedRequant::bind(&mut QuantCtx::new(scheme, 3), 6, 6, ints.len());
+        softmax_over_types(UnitMode::FloatExact, &mut ints, ti, to, s, 6, &rq);
         let f = Tensor::from_vec(
             raws.iter().map(|&r| raw_to_f32(r, 6)).collect(),
             [1, ti, to, 1, s],
         )
         .unwrap();
-        let mut rctx = QuantCtx::new(RoundingScheme::RoundToNearest, 0);
-        let want = rctx.apply(f.softmax_axis(2), Some(6));
+        let want = QuantCtx::new(scheme, 3).round(f.softmax_axis(2), Some(6));
         let got: Vec<f32> = ints.iter().map(|&r| raw_to_f32(r, 6)).collect();
         assert_eq!(got, want.data());
     }
 
     #[test]
-    fn float_exact_routing_squash_matches_reference() {
+    fn float_exact_squash_matches_reference() {
         let (d, s) = (4, 3);
         let raws: Vec<i64> = (0..2 * d * s).map(|i| ((i * 7) % 60) as i64 - 30).collect();
         let mut ints = raws.clone();
-        let mut ctx = QuantCtx::new(RoundingScheme::Stochastic, 5);
-        squash_routing(UnitMode::FloatExact, &mut ints, 5, d, s, 4, &mut ctx);
-        // Reference: squash_blocks then sequential round, via the public
-        // tensor ops (squash_axis matches squash_blocks_fused bitwise).
+        let scheme = RoundingScheme::Stochastic;
+        let rq = KeyedRequant::bind(&mut QuantCtx::new(scheme, 5), 5, 4, ints.len());
+        squash_blocks_requant(UnitMode::FloatExact, &mut ints, 5, d, s, &rq);
+        // Reference: squash then round the whole tensor at the same site,
+        // via the public tensor ops (squash_axis matches the block squash
+        // bitwise).
         let f =
             Tensor::from_vec(raws.iter().map(|&r| raw_to_f32(r, 5)).collect(), [2, d, s]).unwrap();
-        let mut rctx = QuantCtx::new(RoundingScheme::Stochastic, 5);
-        let want = rctx.apply(f.squash_axis(1), Some(4));
+        let want = QuantCtx::new(scheme, 5).round(f.squash_axis(1), Some(4));
         let got: Vec<f32> = ints.iter().map(|&r| raw_to_f32(r, 4)).collect();
         assert_eq!(got, want.data());
     }
@@ -268,8 +217,8 @@ mod tests {
         let mut ints: Vec<i64> = (0..ti * to * s)
             .map(|i| (i as i64 * 9) % 100 - 50)
             .collect();
-        let mut ctx = QuantCtx::new(RoundingScheme::Truncation, 0);
-        softmax_over_types(UnitMode::Integer, &mut ints, ti, to, s, 8, &mut ctx);
+        let rq = KeyedRequant::bind(&mut QuantCtx::new(RoundingScheme::Truncation, 0), 8, 8, 0);
+        softmax_over_types(UnitMode::Integer, &mut ints, ti, to, s, 8, &rq);
         for i in 0..ti {
             for sp in 0..s {
                 let total: i64 = (0..to).map(|j| ints[(i * to + j) * s + sp]).sum();

@@ -11,26 +11,22 @@
 //!
 //! The service promises that every response is **bit-identical to a
 //! sequential single-sample inference** of the same request, no matter how
-//! requests were batched. Fusing requests into one kernel batch preserves
-//! that promise only when per-sample outputs do not depend on the batch a
+//! requests were batched. Every engine fuses its batches into one kernel
+//! invocation, because per-sample outputs never depend on the batch a
 //! sample rides in:
 //!
 //! * Every kernel in both datapaths computes each sample's outputs from
 //!   that sample's inputs alone, with a per-element reduction order fixed
 //!   by the kernel (conv rows, vote panels and routing all dispatch per
 //!   sample) — so the arithmetic is batch-invariant.
-//! * Rounding sites are the one exception: the fused epilogues key their
-//!   stochastic streams by *global element offset*, which includes the
-//!   batch index. Deterministic schemes (TRN / RTN / RTNE) ignore the
-//!   stream entirely, so fusion is exact; stochastic rounding would draw
-//!   different uniforms for the same sample at a different batch slot.
-//!
-//! [`ServeEngine::batchable`] reports whether fusion is sound; the server
-//! degrades to per-sample execution (still through the same engine) when
-//! it is not. `tests/serving_determinism.rs` soaks both paths.
+//! * Every rounding site keys its stochastic draws by the model seed, a
+//!   fixed rounding-point id, a hash of the sample's stage input and the
+//!   element's offset within the sample — never by batch slot — so all
+//!   four rounding schemes are batch-invariant too
+//!   (`tests/batch_invariance.rs` checks random partitions, and
+//!   `tests/serving_determinism.rs` soaks the server).
 
 use qcn_capsnet::{CapsNet, ModelQuant, QuantCtx};
-use qcn_fixed::RoundingScheme;
 use qcn_intinfer::{IntModel, UnitMode};
 use qcn_tensor::Tensor;
 
@@ -48,10 +44,14 @@ pub trait ServeEngine: Send + Sync {
     /// Per-sample output dimensions `[classes, dim]`.
     fn output_dims(&self) -> &[usize];
 
-    /// Whether fusing several requests into one kernel batch yields the
-    /// same bits as running them one by one (see the module docs). The
-    /// server falls back to per-sample execution when this is `false`.
-    fn batchable(&self) -> bool;
+    /// The fractional width of the grid every input value must lie on
+    /// (`Some(f)`: multiples of `2^-f`), or `None` when any `f32` runs.
+    /// The server rejects an off-grid sample at submit
+    /// ([`SubmitError::OffGrid`](crate::SubmitError::OffGrid)), so it never
+    /// fails the batch it would have joined.
+    fn input_grid(&self) -> Option<u8> {
+        None
+    }
 
     /// Runs one engine invocation over `x` (`[b, c, h, w]`), returning
     /// output capsules `[b, classes, dim]`. Each invocation behaves like a
@@ -59,12 +59,6 @@ pub trait ServeEngine: Send + Sync {
     /// context seeded from the model configuration, exactly like
     /// `CapsNet::infer` / `IntModel::infer`.
     fn infer_batch(&self, x: &Tensor) -> Tensor;
-}
-
-/// Whether a scheme's rounding decisions are a pure function of the value
-/// (making batch fusion bit-exact).
-fn scheme_is_deterministic(scheme: RoundingScheme) -> bool {
-    scheme != RoundingScheme::Stochastic
 }
 
 /// Runs a warm-up sample through `infer` to learn the per-sample output
@@ -95,7 +89,6 @@ fn probe_output_dims(input_dims: &[usize], infer: impl Fn(&Tensor) -> Tensor) ->
 /// let model = ShallowCaps::new(ShallowCapsConfig::small(1), 0);
 /// let config = ModelQuant::uniform(3, 5, RoundingScheme::RoundToNearest);
 /// let engine = FakeQuantEngine::new(&model, config, [1, 16, 16]);
-/// assert!(engine.batchable());
 /// let out = engine.infer_batch(&Tensor::zeros([2, 1, 16, 16]));
 /// assert_eq!(out.dims(), &[2, 10, 8]);
 /// ```
@@ -140,10 +133,6 @@ impl<M: CapsNet + Send + Sync> ServeEngine for FakeQuantEngine<M> {
 
     fn output_dims(&self) -> &[usize] {
         &self.output_dims
-    }
-
-    fn batchable(&self) -> bool {
-        scheme_is_deterministic(self.config.scheme)
     }
 
     fn infer_batch(&self, x: &Tensor) -> Tensor {
@@ -218,8 +207,8 @@ impl ServeEngine for IntEngine {
         &self.output_dims
     }
 
-    fn batchable(&self) -> bool {
-        scheme_is_deterministic(self.model.config().scheme)
+    fn input_grid(&self) -> Option<u8> {
+        Some(self.in_frac)
     }
 
     fn infer_batch(&self, x: &Tensor) -> Tensor {

@@ -20,10 +20,9 @@
 //!
 //! * every engine invocation seeds a fresh context, so no request's result
 //!   depends on which requests ran before it;
-//! * batches are fused into one kernel invocation only when the engine
-//!   reports fusion bit-exact ([`ServeEngine::batchable`]); otherwise the
-//!   worker runs the batch members one by one — batching then still
-//!   amortizes scheduling, just not the kernel dispatch;
+//! * every batch is fused into one kernel invocation, which is bit-exact
+//!   for every engine and rounding scheme (the batch-fusion contract in
+//!   [`crate::engine`]);
 //! * the kernels themselves are thread-count invariant (the repo's
 //!   position-keyed epilogue contract).
 //!
@@ -31,6 +30,10 @@
 //!
 //! * **Backpressure**: the queue is bounded; a full queue rejects with
 //!   [`SubmitError::QueueFull`] instead of growing without limit.
+//! * **Admission checks**: a sample the engine cannot execute (wrong
+//!   geometry, or off its input grid) is rejected at submit
+//!   ([`SubmitError::BadInput`], [`SubmitError::OffGrid`]), so one bad
+//!   request never fails the batch it would have joined.
 //! * **Load shedding**: with [`ServeConfig::shed_watermark`] set, a queue
 //!   deeper than the watermark sheds the request with the earliest
 //!   deadline (oldest submission when none carry deadlines), answering it
@@ -49,6 +52,7 @@
 use crate::engine::ServeEngine;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::registry::ModelRegistry;
+use qcn_intinfer::on_grid;
 use qcn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::fmt;
@@ -109,6 +113,15 @@ pub enum SubmitError {
         /// The submitted sample's dimensions.
         got: Vec<usize>,
     },
+    /// A sample value lies off the input grid the engine executes on
+    /// ([`ServeEngine::input_grid`]).
+    OffGrid {
+        /// Flat index of the first off-grid value in the sample.
+        index: usize,
+        /// The grid's fractional width (values must be multiples of
+        /// `2^-frac`).
+        frac: u8,
+    },
     /// The bounded queue is at capacity (backpressure).
     QueueFull {
         /// The configured capacity.
@@ -127,6 +140,9 @@ impl fmt::Display for SubmitError {
                     f,
                     "input dims {got:?} do not match model input {expected:?}"
                 )
+            }
+            SubmitError::OffGrid { index, frac } => {
+                write!(f, "input value {index} is off the 2^-{frac} grid")
             }
             SubmitError::QueueFull { capacity } => {
                 write!(f, "submission queue is full ({capacity} requests)")
@@ -352,6 +368,11 @@ impl Server {
                 got: input.dims().to_vec(),
             });
         }
+        if let Some(frac) = engine.input_grid() {
+            if let Some(index) = input.data().iter().position(|&v| !on_grid(v, frac)) {
+                return Err(SubmitError::OffGrid { index, frac });
+            }
+        }
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         let request = Request {
@@ -568,69 +589,39 @@ fn gather_matching(inner: &Inner, st: &mut QueueState, model: &str, batch: &mut 
     }
 }
 
-/// Runs one formed batch on `engine` and routes the per-request results.
-///
-/// Each output carries the instant **its own** inference returned: a fused
-/// batch completes as one kernel call (one shared stamp), but the
-/// per-sample path stamps each request as it finishes — stamping the whole
-/// batch at the end would overstate the latency of every request but the
-/// last by its successors' inference time.
+/// Runs one formed batch on `engine` as one fused kernel invocation
+/// (bit-exact per the batch-fusion contract) and routes the per-request
+/// results; every request is stamped with the batch's completion.
 fn execute_batch(inner: &Inner, engine: &dyn ServeEngine, batch: Vec<Request>) {
     let b = batch.len();
     let out_dims = engine.output_dims().to_vec();
     let out_len: usize = out_dims.iter().product();
-    let outputs = catch_unwind(AssertUnwindSafe(|| -> Vec<(Tensor, Instant)> {
-        if b > 1 && engine.batchable() {
-            // Fuse into one kernel batch (bit-exact per the engine's
-            // contract), then split per request.
-            let sample_len: usize = engine.input_dims().iter().product();
-            let mut data = Vec::with_capacity(b * sample_len);
-            for req in &batch {
-                data.extend_from_slice(req.input.data());
-            }
-            let mut dims = vec![b];
-            dims.extend_from_slice(engine.input_dims());
-            let fused = Tensor::from_vec(data, dims).expect("batch assembly");
-            let out = engine.infer_batch(&fused);
-            let done = Instant::now();
-            (0..b)
-                .map(|s| {
-                    let split = Tensor::from_vec(
-                        out.data()[s * out_len..(s + 1) * out_len].to_vec(),
-                        out_dims.clone(),
-                    )
-                    .expect("batch split");
-                    (split, done)
-                })
-                .collect()
-        } else {
-            // Per-sample execution: exactly the sequential reference, one
-            // fresh engine invocation per request.
-            batch
-                .iter()
-                .map(|req| {
-                    let mut dims = vec![1];
-                    dims.extend_from_slice(engine.input_dims());
-                    let x =
-                        Tensor::from_vec(req.input.data().to_vec(), dims).expect("sample assembly");
-                    let out = engine.infer_batch(&x);
-                    let done = Instant::now();
-                    let out = Tensor::from_vec(out.data().to_vec(), out_dims.clone())
-                        .expect("sample reshape");
-                    (out, done)
-                })
-                .collect()
+    let outputs = catch_unwind(AssertUnwindSafe(|| {
+        let sample_len: usize = engine.input_dims().iter().product();
+        let mut data = Vec::with_capacity(b * sample_len);
+        for req in &batch {
+            data.extend_from_slice(req.input.data());
         }
+        let mut dims = vec![b];
+        dims.extend_from_slice(engine.input_dims());
+        let fused = Tensor::from_vec(data, dims).expect("batch assembly");
+        let out = engine.infer_batch(&fused);
+        (0..b)
+            .map(|s| {
+                let split = out.data()[s * out_len..(s + 1) * out_len].to_vec();
+                Tensor::from_vec(split, out_dims.clone()).expect("batch split")
+            })
+            .collect::<Vec<_>>()
     }));
     match outputs {
         Ok(outputs) => {
+            let done = Instant::now();
             let latencies: Vec<u64> = batch
                 .iter()
-                .zip(&outputs)
-                .map(|(req, (_, done))| done.duration_since(req.enqueued).as_micros() as u64)
+                .map(|req| done.duration_since(req.enqueued).as_micros() as u64)
                 .collect();
             inner.metrics.on_batch(b, &latencies);
-            for (req, (out, _)) in batch.into_iter().zip(outputs) {
+            for (req, out) in batch.into_iter().zip(outputs) {
                 let _ = req.tx.send(Ok(out));
             }
         }
@@ -830,7 +821,7 @@ mod tests {
                 SleepEngine {
                     dims: vec![1, 1, 1],
                     out: vec![1, 1],
-                    per_sample: Duration::from_millis(20),
+                    delay: Duration::from_millis(20),
                 },
             )
             .unwrap();
@@ -866,12 +857,12 @@ mod tests {
         assert_eq!(m.rejected_full, 0, "capacity wall must stay untouched");
     }
 
-    /// A non-batchable engine whose per-sample inference takes a fixed,
-    /// visible amount of time.
+    /// An engine whose every invocation takes a fixed, visible amount of
+    /// time.
     struct SleepEngine {
         dims: Vec<usize>,
         out: Vec<usize>,
-        per_sample: Duration,
+        delay: Duration,
     }
 
     impl ServeEngine for SleepEngine {
@@ -884,69 +875,9 @@ mod tests {
         fn output_dims(&self) -> &[usize] {
             &self.out
         }
-        fn batchable(&self) -> bool {
-            false
-        }
         fn infer_batch(&self, x: &Tensor) -> Tensor {
-            std::thread::sleep(self.per_sample);
+            std::thread::sleep(self.delay);
             Tensor::zeros([x.dims()[0], 1, 1])
         }
-    }
-
-    /// Per-sample latency attribution: in a non-batchable batch each
-    /// request is stamped as its own inference returns, so later samples
-    /// report strictly more latency than earlier ones (the old code
-    /// stamped the whole batch's completion on every request, flattening
-    /// the spread to zero).
-    #[test]
-    fn per_sample_path_attributes_latency_per_inference() {
-        let per_sample = Duration::from_millis(40);
-        let mut registry = ModelRegistry::new();
-        registry
-            .register(
-                "sleep",
-                SleepEngine {
-                    dims: vec![1, 1, 1],
-                    out: vec![1, 1],
-                    per_sample,
-                },
-            )
-            .unwrap();
-        let server = Server::start(
-            registry,
-            ServeConfig {
-                max_batch: 3,
-                queue_capacity: 8,
-                batch_window: Duration::from_millis(500),
-                request_timeout: None,
-                workers: 1,
-                shed_watermark: None,
-            },
-        );
-        // Three near-simultaneous submissions form one batch of three.
-        let pending: Vec<Pending> = (0..3)
-            .map(|_| server.submit("sleep", Tensor::zeros([1, 1, 1])).unwrap())
-            .collect();
-        for p in pending {
-            p.wait().unwrap();
-        }
-        let m = server.shutdown();
-        assert_eq!(m.completed, 3);
-        assert_eq!(m.batch_histogram, vec![0, 0, 1], "expected one batch of 3");
-        // Sorted latencies are [~1, ~2, ~3] × per_sample (+ shared queueing):
-        // p50 is the 2nd sample, p99 the 3rd — at least ~one per_sample
-        // apart. The old whole-batch stamp made them equal.
-        assert!(
-            m.latency_p99_us >= m.latency_p50_us + per_sample.as_micros() as u64 / 2,
-            "p50 {} / p99 {} should differ by ≥ half a per-sample inference",
-            m.latency_p50_us,
-            m.latency_p99_us
-        );
-        // And the earliest sample must not be billed for the whole batch.
-        assert!(
-            m.latency_p50_us < 3 * per_sample.as_micros() as u64,
-            "p50 {} should be well under the whole-batch duration",
-            m.latency_p50_us
-        );
     }
 }

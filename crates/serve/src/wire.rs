@@ -146,6 +146,9 @@ pub mod status {
     /// from `QUEUE_FULL` (which rejects at submit; shedding evicts work
     /// that was already accepted).
     pub const OVERLOADED: u8 = 9;
+    /// `SubmitError::OffGrid` — a sample value off the engine's input
+    /// grid, rejected at submit.
+    pub const OFF_GRID: u8 = 10;
 }
 
 const TAG_OK: u8 = status::OK;
@@ -158,6 +161,7 @@ const TAG_ENGINE_FAILURE: u8 = status::ENGINE_FAILURE;
 const TAG_WORKER_LOST: u8 = status::WORKER_LOST;
 const TAG_STATS: u8 = status::STATS;
 const TAG_OVERLOADED: u8 = status::OVERLOADED;
+const TAG_OFF_GRID: u8 = status::OFF_GRID;
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -335,6 +339,11 @@ pub fn encode_response(resp: &WireResponse) -> Vec<u8> {
             put_dims(&mut out, expected);
             put_dims(&mut out, got);
         }
+        Err(WireError::Submit(SubmitError::OffGrid { index, frac })) => {
+            out.push(TAG_OFF_GRID);
+            out.extend_from_slice(&(*index as u64).to_be_bytes());
+            out.push(*frac);
+        }
         Err(WireError::Submit(SubmitError::QueueFull { capacity })) => {
             out.push(TAG_QUEUE_FULL);
             out.extend_from_slice(&(*capacity as u64).to_be_bytes());
@@ -410,6 +419,10 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
             let got = get_dims(&mut r)?;
             Err(WireError::Submit(SubmitError::BadInput { expected, got }))
         }
+        TAG_OFF_GRID => Err(WireError::Submit(SubmitError::OffGrid {
+            index: r.u64("off-grid index")? as usize,
+            frac: r.u8("grid width")?,
+        })),
         TAG_QUEUE_FULL => Err(WireError::Submit(SubmitError::QueueFull {
             capacity: r.u64("queue capacity")? as usize,
         })),
@@ -534,6 +547,10 @@ mod tests {
             Err(WireError::Submit(SubmitError::BadInput {
                 expected: vec![1, 16, 16],
                 got: vec![3, 8, 8],
+            })),
+            Err(WireError::Submit(SubmitError::OffGrid {
+                index: 123,
+                frac: 5,
             })),
             Err(WireError::Submit(SubmitError::QueueFull { capacity: 256 })),
             Err(WireError::Submit(SubmitError::ShuttingDown)),
@@ -710,6 +727,13 @@ mod tests {
                     got: vec![2],
                 })),
                 status::BAD_INPUT,
+            ),
+            (
+                Err(WireError::Submit(SubmitError::OffGrid {
+                    index: 0,
+                    frac: 5,
+                })),
+                status::OFF_GRID,
             ),
             (
                 Err(WireError::Submit(SubmitError::QueueFull { capacity: 1 })),

@@ -34,23 +34,18 @@ fn sample(seed: i64) -> Tensor {
 }
 
 /// Batched engine invocation must equal per-sample invocations bit for bit
-/// for deterministic schemes — the assumption the server's batch fusion
-/// rests on, for both datapaths.
+/// for every rounding scheme, stochastic rounding included — the
+/// assumption the server's batch fusion rests on, for both datapaths.
 #[test]
-fn batch_fusion_is_bit_exact_for_deterministic_schemes() {
+fn batch_fusion_is_bit_exact_for_every_scheme() {
     let model = ShallowCaps::new(ShallowCapsConfig::small(1), 5);
-    for scheme in [
-        RoundingScheme::Truncation,
-        RoundingScheme::RoundToNearest,
-        RoundingScheme::RoundToNearestEven,
-    ] {
+    for scheme in RoundingScheme::EXTENDED {
         let config = shallow_config(scheme);
         let fq = FakeQuantEngine::new(&model, config.clone(), [1, 16, 16]);
         let int_model = IntModel::load(&model.descriptor(), &pack_model(&model, &config)).unwrap();
         let int = IntEngine::new(int_model, 5, UnitMode::FloatExact, [1, 16, 16]);
         let engines: [&dyn ServeEngine; 2] = [&fq, &int];
         for engine in engines {
-            assert!(engine.batchable(), "{scheme:?} must fuse");
             let samples: Vec<Tensor> = (0..5).map(sample).collect();
             let mut data = Vec::new();
             for s in &samples {
@@ -73,17 +68,49 @@ fn batch_fusion_is_bit_exact_for_deterministic_schemes() {
     }
 }
 
-/// Stochastic rounding keys its draws by batch position, so the engines
-/// must report fusion unsound (and the server runs per-sample).
+/// An input off the integer engine's grid is rejected at submit with a
+/// typed error, so it cannot fail the batch it would have joined: the
+/// on-grid requests around it still fuse into one batch and answer
+/// bit-identically to a lone inference.
 #[test]
-fn stochastic_engines_are_not_batchable() {
+fn off_grid_request_is_rejected_without_failing_its_batch() {
     let model = ShallowCaps::new(ShallowCapsConfig::small(1), 5);
-    let config = shallow_config(RoundingScheme::Stochastic);
-    let fq = FakeQuantEngine::new(&model, config.clone(), [1, 16, 16]);
-    assert!(!fq.batchable());
+    let config = shallow_config(RoundingScheme::RoundToNearest);
     let int_model = IntModel::load(&model.descriptor(), &pack_model(&model, &config)).unwrap();
-    let int = IntEngine::new(int_model, 5, UnitMode::FloatExact, [1, 16, 16]);
-    assert!(!int.batchable());
+    let engine = IntEngine::new(int_model, 5, UnitMode::FloatExact, [1, 16, 16]);
+    let want: Vec<Tensor> = [1, 2]
+        .iter()
+        .map(|&i| {
+            engine
+                .infer_batch(&Tensor::from_vec(sample(i).data().to_vec(), [1, 1, 16, 16]).unwrap())
+        })
+        .collect();
+    let mut registry = ModelRegistry::new();
+    registry.register("int", engine).unwrap();
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            max_batch: 2,
+            batch_window: Duration::from_secs(5),
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let first = server.submit("int", sample(1)).unwrap();
+    let mut bad = sample(9);
+    bad.data_mut()[17] = 0.01;
+    match server.submit("int", bad) {
+        Err(SubmitError::OffGrid { index, frac }) => assert_eq!((index, frac), (17, 5)),
+        other => panic!("expected OffGrid, got {other:?}"),
+    }
+    let second = server.submit("int", sample(2)).unwrap();
+    for (pending, want) in [first, second].into_iter().zip(&want) {
+        let got = pending.wait().expect("on-grid request succeeds");
+        assert_eq!(got.data(), want.data());
+    }
+    let m = server.shutdown();
+    assert_eq!(m.batch_histogram, vec![0, 1], "the two good requests fused");
+    assert_eq!(m.failed, 0);
 }
 
 /// An engine whose execution blocks until the test releases it, plus a
@@ -131,9 +158,6 @@ impl ServeEngine for GatedEngine {
     }
     fn output_dims(&self) -> &[usize] {
         self.inner.output_dims()
-    }
-    fn batchable(&self) -> bool {
-        self.inner.batchable()
     }
     fn infer_batch(&self, x: &Tensor) -> Tensor {
         let (lock, cv) = &*self.gate;
@@ -296,9 +320,6 @@ impl ServeEngine for FaultyEngine {
     }
     fn output_dims(&self) -> &[usize] {
         self.inner.output_dims()
-    }
-    fn batchable(&self) -> bool {
-        true
     }
     fn infer_batch(&self, x: &Tensor) -> Tensor {
         // Poison value: an all-negative sample triggers the fault.

@@ -92,9 +92,6 @@ impl ServeEngine for FaultyEngine {
     fn output_dims(&self) -> &[usize] {
         self.inner.output_dims()
     }
-    fn batchable(&self) -> bool {
-        true
-    }
     fn infer_batch(&self, x: &Tensor) -> Tensor {
         if x.data()[0] < 0.0 {
             panic!("injected engine fault");

@@ -9,12 +9,15 @@ cargo test -q
 cargo test -q --test integer_inference_equivalence
 # Serving soak: the determinism contract must hold for every kernel
 # thread count (serial, even split, odd split) — both for in-process
-# submits and over the socket front-end. `--router-smoke` additionally
+# submits and over the socket front-end — and so must batch invariance
+# (any partition of samples into batches gives the one-sample bits, for
+# every engine and rounding scheme). `--router-smoke` additionally
 # runs the replica-fleet failover soak (kill + same-port restart under
 # load) at each thread count.
 for t in 1 2 7; do
   QCN_NUM_THREADS=$t cargo test -q --test serving_determinism
   QCN_NUM_THREADS=$t cargo test -q --test serving_net_equivalence
+  QCN_NUM_THREADS=$t cargo test -q --test batch_invariance
   if [[ "${1:-}" == "--router-smoke" ]]; then
     QCN_NUM_THREADS=$t cargo test -q --test router_failover
   fi

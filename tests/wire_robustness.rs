@@ -41,24 +41,31 @@ fn any_request() -> impl Strategy<Value = WireRequest> {
 }
 
 /// Every arm of the response union: a tensor body or one of the typed
-/// failures (the selector walks all seven encodings).
+/// failures (the selector walks all eight encodings).
 fn any_response() -> impl Strategy<Value = WireResponse> {
-    (0u64..u64::MAX, 0usize..7, any_tensor()).prop_map(|(id, sel, t)| {
-        let result = match sel {
-            0 => Ok(t),
-            1 => Err(WireError::Submit(SubmitError::QueueFull { capacity: 7 })),
-            2 => Err(WireError::Submit(SubmitError::UnknownModel(
-                "missing".to_string(),
-            ))),
-            3 => Err(WireError::Submit(SubmitError::ShuttingDown)),
-            4 => Err(WireError::Serve(ServeError::DeadlineExceeded)),
-            5 => Err(WireError::Serve(ServeError::EngineFailure(
-                "router: no replica answered".to_string(),
-            ))),
-            _ => Err(WireError::Serve(ServeError::WorkerLost)),
-        };
-        WireResponse { id, result }
-    })
+    (
+        0u64..u64::MAX,
+        0usize..8,
+        any_tensor(),
+        (0usize..1 << 20, 0u8..32),
+    )
+        .prop_map(|(id, sel, t, (index, frac))| {
+            let result = match sel {
+                0 => Ok(t),
+                1 => Err(WireError::Submit(SubmitError::QueueFull { capacity: 7 })),
+                2 => Err(WireError::Submit(SubmitError::UnknownModel(
+                    "missing".to_string(),
+                ))),
+                3 => Err(WireError::Submit(SubmitError::ShuttingDown)),
+                4 => Err(WireError::Serve(ServeError::DeadlineExceeded)),
+                5 => Err(WireError::Serve(ServeError::EngineFailure(
+                    "router: no replica answered".to_string(),
+                ))),
+                6 => Err(WireError::Submit(SubmitError::OffGrid { index, frac })),
+                _ => Err(WireError::Serve(ServeError::WorkerLost)),
+            };
+            WireResponse { id, result }
+        })
 }
 
 /// A framed request as it travels on the socket: 4-byte BE length prefix
