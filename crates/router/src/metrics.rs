@@ -1,20 +1,18 @@
 //! Router metrics: a private [`Registry`] per router instance (so
 //! side-by-side routers in one process never bleed counters into each
-//! other), with per-backend labelled series and an exact recent-window
-//! latency summary, rendered as Prometheus text for the wire-level stats
-//! frame.
+//! other), with per-backend labelled series, the client front-end's wire
+//! series and an exact recent-window latency summary, rendered as
+//! Prometheus text for the wire-level stats frame.
 
-use qcn_telemetry::{latency_bounds_us, Counter, Gauge, Histogram, Registry, SampleWindow};
+use qcn_serve::net::WireMetrics;
+use qcn_telemetry::{
+    latency_bounds_us, Counter, Gauge, Histogram, Registry, Summary, DEFAULT_SUMMARY_WINDOW,
+};
 use std::net::SocketAddr;
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// Cap on retained per-request latency samples — a sliding most-recent
-/// window, same policy as `qcn_serve`.
-const MAX_LATENCY_SAMPLES: usize = 1 << 20;
-
 /// Metric handles the router's hot paths touch. All lock-free atomics
-/// except the latency window.
+/// except the latency window's own lock.
 pub(crate) struct RouterMetrics {
     registry: Registry,
     started: Instant,
@@ -28,13 +26,11 @@ pub(crate) struct RouterMetrics {
     pub failed: Counter,
     /// Stats frames answered with the router's own metrics.
     pub stats_served: Counter,
-    pub connections_accepted: Counter,
-    pub connections_active: Gauge,
-    pub malformed_frames: Counter,
-    pub bytes_in: Counter,
-    pub bytes_out: Counter,
+    /// The client front-end's connection, malformed-frame and byte series.
+    pub wire: WireMetrics,
     latency_hist: Histogram,
-    latencies: Mutex<SampleWindow>,
+    /// Exact quantiles over the most recent end-to-end latencies (µs).
+    pub latency_window: Summary,
 }
 
 /// Labelled handles for one backend.
@@ -92,38 +88,19 @@ impl RouterMetrics {
                 &[],
                 "stats frames answered with the router's own metrics",
             ),
-            connections_accepted: registry.counter(
-                "qcn_router_connections_accepted_total",
-                &[],
-                "client connections accepted",
-            ),
-            connections_active: registry.gauge(
-                "qcn_router_connections_active",
-                &[],
-                "client connections currently open",
-            ),
-            malformed_frames: registry.counter(
-                "qcn_router_malformed_frames_total",
-                &[],
-                "client frames that failed to parse (connection closed)",
-            ),
-            bytes_in: registry.counter(
-                "qcn_router_wire_bytes_total",
-                &[("direction", "in")],
-                "wire bytes on the client side",
-            ),
-            bytes_out: registry.counter(
-                "qcn_router_wire_bytes_total",
-                &[("direction", "out")],
-                "wire bytes on the client side",
-            ),
+            wire: WireMetrics::register(&registry, "router"),
             latency_hist: registry.histogram(
                 "qcn_router_request_latency_us",
                 &[],
                 "end-to-end routed request latency (microseconds)",
                 &latency_bounds_us(),
             ),
-            latencies: Mutex::new(SampleWindow::new(MAX_LATENCY_SAMPLES)),
+            latency_window: registry.summary(
+                "qcn_router_request_latency_window_us",
+                &[],
+                "exact nearest-rank latency quantiles over the most recent samples (microseconds)",
+                DEFAULT_SUMMARY_WINDOW,
+            ),
             registry,
         }
     }
@@ -188,36 +165,19 @@ impl RouterMetrics {
 
     pub(crate) fn observe_latency_us(&self, us: u64) {
         self.latency_hist.observe(us as f64);
-        self.latencies.lock().expect("latency window lock").push(us);
-    }
-
-    pub(crate) fn latency_percentiles(&self) -> [u64; 3] {
-        self.latencies
-            .lock()
-            .expect("latency window lock")
-            .percentiles([0.50, 0.95, 0.99])
+        self.latency_window.observe(us);
     }
 
     pub(crate) fn uptime_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Prometheus text: the router registry, the exact recent-window
-    /// latency quantiles, uptime, then the process-wide library metrics.
+    /// Prometheus text: the router registry (the exact recent-window
+    /// latency quantiles among it), uptime, then the process-wide library
+    /// metrics.
     pub(crate) fn render_prometheus(&self) -> String {
         let mut out = String::new();
         self.registry.render_prometheus_into(&mut out);
-        let [p50, p95, p99] = self.latency_percentiles();
-        out.push_str(concat!(
-            "# HELP qcn_router_request_latency_window_us exact nearest-rank ",
-            "latency quantiles over the most recent samples (microseconds)\n",
-            "# TYPE qcn_router_request_latency_window_us summary\n",
-        ));
-        for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
-            out.push_str(&format!(
-                "qcn_router_request_latency_window_us{{quantile=\"{q}\"}} {v}\n"
-            ));
-        }
         out.push_str("# HELP qcn_router_uptime_seconds seconds since the router started\n");
         out.push_str("# TYPE qcn_router_uptime_seconds gauge\n");
         out.push_str(&format!(

@@ -1,11 +1,13 @@
 //! The router front-end and dispatch engine.
 //!
-//! Client side mirrors `qcn_serve::net`: an accept loop, one reader and
-//! one writer thread per connection, responses delivered in submission
-//! order. The reader fully validates each frame (malformed bytes must
-//! never reach a shared upstream channel), applies the admission budget,
-//! and dispatches accepted requests; the writer drains per-request
-//! response channels in arrival order.
+//! The client side is the shared pipelined wire front-end
+//! (`qcn_serve::net::FrontEnd`, named `"router"`): it accepts, validates
+//! every frame before the router sees it (malformed bytes must never
+//! reach a shared upstream channel), and answers in submission order.
+//! The router's part is its [`Handler`]: stats frames answer with the
+//! router's own metrics, and inference requests pass the admission budget
+//! and are dispatched, the writer waiting on each request's response
+//! channel.
 //!
 //! Dispatch picks a backend (least-outstanding, power-of-two tie-break,
 //! ejected replicas skipped), forwards the raw payload over a pooled
@@ -22,14 +24,15 @@ use crate::budget::TokenBucket;
 use crate::config::RouterConfig;
 use crate::health::HealthTracker;
 use crate::metrics::RouterMetrics;
+use qcn_serve::net::{FrontEnd, Handler, WriterItem};
 use qcn_serve::wire::{
-    self, decode_request_frame, encode_response, encode_stats_request, encode_stats_response,
-    read_frame, status, write_frame, WireError, WireFrame, WireResponse,
+    self, encode_response, encode_stats_request, encode_stats_response, status, WireError,
+    WireFrame, WireResponse,
 };
 use qcn_serve::{ServeError, SubmitError};
 use qcn_telemetry::{debug, info, warn};
-use std::io::{BufReader, BufWriter, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -292,16 +295,60 @@ pub(crate) fn dispatch(core: &Arc<RouterCore>, work: Vec<Task>) {
     }
 }
 
-/// What the client reader hands the client writer, in arrival order.
-enum WriterItem {
-    Ready(Vec<u8>),
-    Wait(u64, mpsc::Receiver<Vec<u8>>),
-}
+/// The client side: admission and dispatch on the reader, the response
+/// channel on the writer.
+impl Handler for RouterCore {
+    type Ticket = mpsc::Receiver<Vec<u8>>;
 
-struct ClientConn {
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
+    fn handle(self: &Arc<Self>, frame: WireFrame, payload: Vec<u8>) -> WriterItem<Self::Ticket> {
+        let m = &self.metrics;
+        let request = match frame {
+            // Stats against the router answer with the *router's* own
+            // metrics — probe a replica directly for its server view.
+            WireFrame::Stats { id } => {
+                m.stats_served.inc();
+                return WriterItem::Ready(encode_stats_response(id, &m.render_prometheus()));
+            }
+            WireFrame::Infer(request) => request,
+        };
+        if self.inflight.fetch_add(1, Ordering::SeqCst) >= self.cfg.max_inflight {
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+            m.rejected.inc();
+            return WriterItem::Ready(encode_response(&WireResponse {
+                id: request.id,
+                result: Err(WireError::Submit(SubmitError::QueueFull {
+                    capacity: self.cfg.max_inflight,
+                })),
+            }));
+        }
+        m.inflight.inc();
+        // Dispatching before the front-end queues the ticket is safe: the
+        // channel buffers an instant answer, and the writer resolves
+        // tickets strictly in queue order.
+        let (done, answer) = mpsc::channel();
+        let task = Task {
+            kind: TaskKind::Infer,
+            client_id: request.id,
+            payload,
+            done,
+            attempts: 0,
+            accepted: Instant::now(),
+            last_backend: 0,
+        };
+        dispatch(self, vec![task]);
+        WriterItem::Wait(request.id, answer)
+    }
+
+    fn resolve(&self, id: u64, answer: Self::Ticket) -> Vec<u8> {
+        answer.recv().unwrap_or_else(|_| {
+            // The task died without an answer (shutdown race): the typed
+            // "your request fell into the gap" error.
+            encode_response(&WireResponse {
+                id,
+                result: Err(WireError::Serve(ServeError::WorkerLost)),
+            })
+        })
+    }
 }
 
 /// A point-in-time view of one backend's routing state.
@@ -372,9 +419,7 @@ pub struct RouterSnapshot {
 /// runs on drop.
 pub struct Router {
     core: Arc<RouterCore>,
-    local_addr: SocketAddr,
-    conns: Arc<Mutex<Vec<ClientConn>>>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    front: FrontEnd,
     health: Mutex<Option<JoinHandle<()>>>,
     health_stop: Arc<(Mutex<bool>, Condvar)>,
 }
@@ -420,14 +465,7 @@ impl Router {
             open: AtomicBool::new(true),
             rng: Mutex::new(XorShift::new(seed)),
         });
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let core = Arc::clone(&core);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("qcn-router-accept".to_string())
-                .spawn(move || accept_loop(&listener, &core, &conns))?
-        };
+        let front = FrontEnd::start(listener, Arc::clone(&core), core.metrics.wire.clone())?;
         let health_stop = Arc::new((Mutex::new(false), Condvar::new()));
         let health = {
             let core = Arc::clone(&core);
@@ -443,9 +481,7 @@ impl Router {
         );
         Ok(Router {
             core,
-            local_addr,
-            conns,
-            accept: Mutex::new(Some(accept)),
+            front,
             health: Mutex::new(Some(health)),
             health_stop,
         })
@@ -453,7 +489,7 @@ impl Router {
 
     /// The bound address (resolves port-0 binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The router's live metrics as Prometheus text — also what a wire
@@ -465,18 +501,18 @@ impl Router {
     /// A point-in-time snapshot of the routing state.
     pub fn snapshot(&self) -> RouterSnapshot {
         let m = &self.core.metrics;
-        let [p50, p95, p99] = m.latency_percentiles();
+        let [p50, p95, p99] = m.latency_window.quantiles();
         RouterSnapshot {
             uptime_secs: m.uptime_secs(),
             completed: m.completed.get(),
             failed: m.failed.get(),
             rejected: m.rejected.get(),
             inflight: m.inflight.get(),
-            connections_accepted: m.connections_accepted.get(),
-            connections_active: m.connections_active.get(),
-            malformed_frames: m.malformed_frames.get(),
-            bytes_in: m.bytes_in.get(),
-            bytes_out: m.bytes_out.get(),
+            connections_accepted: m.wire.accepted.get(),
+            connections_active: m.wire.active.get(),
+            malformed_frames: m.wire.malformed.get(),
+            bytes_in: m.wire.bytes_in.get(),
+            bytes_out: m.wire.bytes_out.get(),
             latency_p50_us: p50,
             latency_p95_us: p95,
             latency_p99_us: p99,
@@ -508,19 +544,7 @@ impl Router {
     /// final snapshot.
     pub fn shutdown(&self) -> RouterSnapshot {
         self.core.open.store(false, Ordering::SeqCst);
-        if let Some(handle) = self.accept.lock().expect("accept handle lock").take() {
-            let _ = TcpStream::connect(wakeup_addr(self.local_addr));
-            let _ = handle.join();
-        }
-        let conns: Vec<ClientConn> = {
-            let mut guard = self.conns.lock().expect("connection list lock");
-            guard.drain(..).collect()
-        };
-        for conn in conns {
-            let _ = conn.stream.shutdown(Shutdown::Read);
-            let _ = conn.reader.join();
-            let _ = conn.writer.join();
-        }
+        self.front.shutdown();
         {
             let (lock, cv) = &*self.health_stop;
             *lock.lock().expect("health stop lock") = true;
@@ -547,222 +571,11 @@ impl Drop for Router {
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.local_addr())
             .field("backends", &self.core.cfg.backends)
             .field("open", &self.core.open.load(Ordering::Relaxed))
             .finish()
     }
-}
-
-fn wakeup_addr(addr: SocketAddr) -> SocketAddr {
-    if addr.ip().is_unspecified() {
-        SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
-    } else {
-        addr
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    core: &Arc<RouterCore>,
-    conns: &Arc<Mutex<Vec<ClientConn>>>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if !core.open.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if !core.open.load(Ordering::SeqCst) {
-            return; // includes the shutdown wake-up connection
-        }
-        let mut conns = conns.lock().expect("connection list lock");
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].reader.is_finished() && conns[i].writer.is_finished() {
-                let conn = conns.swap_remove(i);
-                let _ = conn.reader.join();
-                let _ = conn.writer.join();
-            } else {
-                i += 1;
-            }
-        }
-        match spawn_client(stream, core) {
-            Ok(conn) => conns.push(conn),
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Decrements the active-connection gauge when the last per-connection
-/// thread exits, whichever thread that is.
-struct ConnGuard(qcn_telemetry::Gauge);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.dec();
-    }
-}
-
-fn spawn_client(stream: TcpStream, core: &Arc<RouterCore>) -> std::io::Result<ClientConn> {
-    stream.set_nodelay(true)?;
-    core.metrics.connections_accepted.inc();
-    core.metrics.connections_active.inc();
-    let guard = Arc::new(ConnGuard(core.metrics.connections_active.clone()));
-    let (tx, rx) = mpsc::channel::<WriterItem>();
-    let reader = {
-        let stream = stream.try_clone()?;
-        let core = Arc::clone(core);
-        let guard = Arc::clone(&guard);
-        std::thread::Builder::new()
-            .name("qcn-router-read".to_string())
-            .spawn(move || {
-                client_reader(stream, &core, &tx);
-                drop(guard);
-            })?
-    };
-    let writer = {
-        let stream = stream.try_clone()?;
-        let core = Arc::clone(core);
-        std::thread::Builder::new()
-            .name("qcn-router-write".to_string())
-            .spawn(move || {
-                client_writer(stream, &core, &rx);
-                drop(guard);
-            })?
-    };
-    Ok(ClientConn {
-        stream,
-        reader,
-        writer,
-    })
-}
-
-/// Validates and admits frames, dispatching accepted requests. Never
-/// waits for a result.
-fn client_reader(stream: TcpStream, core: &Arc<RouterCore>, tx: &mpsc::Sender<WriterItem>) {
-    let m = &core.metrics;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break,
-            Err(e) => {
-                if e.kind() == ErrorKind::InvalidData {
-                    m.malformed_frames.inc();
-                    let _ = reader.get_ref().shutdown(Shutdown::Both);
-                }
-                break;
-            }
-        };
-        m.bytes_in.add(payload.len() as u64 + 4);
-        // Full validation before anything touches a shared upstream
-        // channel: a malformed frame must only ever cost *this* client
-        // its connection.
-        let frame = match decode_request_frame(&payload) {
-            Ok(frame) => frame,
-            Err(_) => {
-                m.malformed_frames.inc();
-                let _ = reader.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
-        };
-        let item = match frame {
-            // Stats against the router answer with the *router's* own
-            // metrics — probe a replica directly for its server view.
-            WireFrame::Stats { id } => {
-                m.stats_served.inc();
-                WriterItem::Ready(encode_stats_response(id, &m.render_prometheus()))
-            }
-            WireFrame::Infer(request) => {
-                let admitted = {
-                    let prev = core.inflight.fetch_add(1, Ordering::SeqCst);
-                    if prev >= core.cfg.max_inflight {
-                        core.inflight.fetch_sub(1, Ordering::SeqCst);
-                        false
-                    } else {
-                        m.inflight.inc();
-                        true
-                    }
-                };
-                if !admitted {
-                    m.rejected.inc();
-                    WriterItem::Ready(encode_response(&WireResponse {
-                        id: request.id,
-                        result: Err(WireError::Submit(SubmitError::QueueFull {
-                            capacity: core.cfg.max_inflight,
-                        })),
-                    }))
-                } else {
-                    let (dtx, drx) = mpsc::channel();
-                    let task = Task {
-                        kind: TaskKind::Infer,
-                        client_id: request.id,
-                        payload,
-                        done: dtx,
-                        attempts: 0,
-                        accepted: Instant::now(),
-                        last_backend: 0,
-                    };
-                    // Queue the writer slot before dispatching so the
-                    // response order matches submission order even if
-                    // dispatch completes instantly.
-                    if tx.send(WriterItem::Wait(request.id, drx)).is_err() {
-                        core.finish_one();
-                        break;
-                    }
-                    dispatch(core, vec![task]);
-                    continue;
-                }
-            }
-        };
-        if tx.send(item).is_err() {
-            break;
-        }
-    }
-}
-
-/// Streams responses back in submission order.
-fn client_writer(stream: TcpStream, core: &Arc<RouterCore>, rx: &mpsc::Receiver<WriterItem>) {
-    let m = &core.metrics;
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let item = match rx.try_recv() {
-            Ok(item) => item,
-            Err(mpsc::TryRecvError::Disconnected) => break,
-            Err(mpsc::TryRecvError::Empty) => {
-                if writer.flush().is_err() {
-                    break;
-                }
-                match rx.recv() {
-                    Ok(item) => item,
-                    Err(_) => break,
-                }
-            }
-        };
-        let payload = match item {
-            WriterItem::Ready(payload) => payload,
-            WriterItem::Wait(id, drx) => match drx.recv() {
-                Ok(payload) => payload,
-                // The task died without an answer (shutdown race): the
-                // typed "your request fell into the gap" error.
-                Err(_) => encode_response(&WireResponse {
-                    id,
-                    result: Err(WireError::Serve(ServeError::WorkerLost)),
-                }),
-            },
-        };
-        match write_frame(&mut writer, &payload) {
-            Ok(n) => m.bytes_out.add(n),
-            Err(_) => break,
-        }
-    }
-    let _ = writer.flush();
-    let _ = writer.get_ref().shutdown(Shutdown::Both);
 }
 
 /// The background health checker: probes every due backend each tick

@@ -1,6 +1,6 @@
 //! Mechanism-level router tests: balancing spread, admission control,
-//! typed error passthrough, retry/ejection bookkeeping, stats identity
-//! and drain-on-shutdown. The end-to-end kill-and-restart failover soak
+//! typed error passthrough, retry/ejection bookkeeping, stats identity,
+//! malformed client frames and drain-on-shutdown. The end-to-end kill-and-restart failover soak
 //! (both engines, all rounding schemes) lives at the workspace root in
 //! `tests/router_failover.rs`.
 
@@ -13,7 +13,8 @@ use qcn_serve::{
     SocketServer, SubmitError,
 };
 use qcn_tensor::Tensor;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -357,4 +358,53 @@ fn health_probes_run_and_count() {
     );
     assert_eq!(snap.backends[0].health_fail, 0);
     assert!(snap.backends[0].available);
+}
+
+/// Sends `bytes` on a fresh raw connection and returns what the router
+/// answers before hanging up.
+fn raw_exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(bytes).unwrap();
+    raw.flush().unwrap();
+    let mut answer = Vec::new();
+    let _ = raw.read_to_end(&mut answer);
+    answer
+}
+
+/// A garbage payload or an oversized length prefix closes only that
+/// client's connection, unanswered; nothing reaches the replicas.
+#[test]
+fn malformed_client_frames_close_the_connection_and_count() {
+    let model = ShallowCaps::new(ShallowCapsConfig::small(1), 5);
+    let config = shallow_config();
+    let replica = replica(&model, Duration::from_millis(1));
+    let router = Router::bind(fast_config(vec![replica.local_addr()]), "127.0.0.1:0").unwrap();
+
+    let garbage = [0xFFu8; 16];
+    let mut frame = (garbage.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&garbage);
+    assert!(
+        raw_exchange(router.local_addr(), &frame).is_empty(),
+        "a garbage frame must not be answered"
+    );
+    assert!(
+        raw_exchange(router.local_addr(), &u32::MAX.to_be_bytes()).is_empty(),
+        "an oversized frame must not be answered"
+    );
+
+    // A fresh client is unaffected and still bit-exact.
+    let x = sample(3);
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let out = client
+        .infer("m", &x)
+        .expect("fresh client after malformed peers");
+    assert_eq!(bits(&out), oracle(&model, &config, &x));
+    drop(client);
+
+    let snap = router.shutdown();
+    assert_eq!(snap.malformed_frames, 2);
+    assert_eq!(snap.connections_accepted, 3);
+    assert_eq!(snap.connections_active, 0);
+    assert_eq!(snap.completed, 1);
+    assert_eq!(replica.shutdown().malformed_frames, 0);
 }

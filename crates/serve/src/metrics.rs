@@ -1,28 +1,24 @@
 //! Service metrics: counters, batch-size histogram and latency
 //! percentiles, snapshotable while the server runs.
 //!
-//! Built on the `qcn-telemetry` primitives: every counter/gauge lives in
-//! a **per-server** [`Registry`] (so tests running several servers in one
+//! Built on the `qcn-telemetry` primitives: every series lives in a
+//! **per-server** [`Registry`] (so tests running several servers in one
 //! process never share state), latencies are recorded twice — exactly,
-//! into a bounded [`SampleWindow`] for the nearest-rank percentiles the
+//! into a windowed [`Summary`] for the nearest-rank percentiles the
 //! snapshot reports, and bucketed, into a telemetry [`Histogram`] for the
 //! Prometheus exposition — and [`Metrics::render_prometheus`] appends the
 //! process-wide [`qcn_telemetry::global`] registry (engine stage timings,
 //! thread-pool dispatch, search-cache counters) after the server's own
-//! series.
+//! series. The socket front-end's wire series ([`WireMetrics`]) live in
+//! the same registry.
 
+use crate::net::WireMetrics;
 use qcn_telemetry::{
-    exponential_bounds, latency_bounds_us, Counter, Gauge, Histogram, Registry, SampleWindow,
+    exponential_bounds, latency_bounds_us, Counter, Gauge, Histogram, Registry, Summary,
+    DEFAULT_SUMMARY_WINDOW,
 };
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Cap on retained per-request latency samples. The retained window is a
-/// ring buffer of the **most recent** samples, so the p50/p95/p99 of a
-/// long-running server always describe current traffic (an earlier
-/// "keep the first N" cap froze the percentiles at startup traffic
-/// forever), and memory stays bounded.
-const MAX_LATENCY_SAMPLES: usize = 1 << 20;
 
 /// Slots in the dense per-size batch histogram. Slot `i < 63` counts
 /// batches of size `i + 1`; the last slot counts every batch of size
@@ -48,34 +44,27 @@ pub(crate) struct Metrics {
     worker_respawns: Counter,
     queue_depth: Gauge,
     queue_depth_max: Gauge,
-    connections_accepted: Counter,
-    connections_active: Gauge,
-    malformed_frames: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
+    /// The socket front-end's connection, malformed-frame and byte series.
+    pub(crate) wire: WireMetrics,
     latency_hist: Histogram,
+    /// Exact quantiles over the most recent per-request latencies (µs).
+    latency_window: Summary,
     batch_hist: Histogram,
-    inner: Mutex<Recorded>,
-}
-
-#[derive(Debug)]
-struct Recorded {
     /// `dense_batches[i]` counts executed batches of size `i + 1`; the
     /// last slot absorbs sizes ≥ [`BATCH_HIST_SLOTS`].
-    dense_batches: Vec<u64>,
-    /// Ring of the most recent per-request end-to-end latencies (µs).
-    latencies: SampleWindow,
+    dense_batches: [AtomicU64; BATCH_HIST_SLOTS],
+    /// Slots the snapshot reports at least (`max_batch`, capped).
+    batch_slots: usize,
 }
 
 impl Metrics {
     pub(crate) fn new(max_batch: usize) -> Self {
-        Metrics::with_latency_window(max_batch, MAX_LATENCY_SAMPLES)
+        Metrics::with_latency_window(max_batch, DEFAULT_SUMMARY_WINDOW)
     }
 
-    /// A sink with an explicit latency-ring capacity (tests shrink it to
+    /// A sink with an explicit latency-window capacity (tests shrink it to
     /// exercise displacement without a million samples).
     pub(crate) fn with_latency_window(max_batch: usize, latency_window: usize) -> Self {
-        assert!(latency_window >= 1, "latency window must hold a sample");
         let registry = Registry::new();
         let counter = |name: &str, help: &str| registry.counter(name, &[], help);
         Metrics {
@@ -124,34 +113,18 @@ impl Metrics {
                 &[],
                 "high-water mark of the submission queue depth",
             ),
-            connections_accepted: counter(
-                "qcn_serve_connections_accepted_total",
-                "socket connections accepted by the front-end",
-            ),
-            connections_active: registry.gauge(
-                "qcn_serve_connections_active",
-                &[],
-                "socket connections currently open",
-            ),
-            malformed_frames: counter(
-                "qcn_serve_malformed_frames_total",
-                "frames rejected as unparseable (each closes its connection)",
-            ),
-            bytes_in: registry.counter(
-                "qcn_serve_wire_bytes_total",
-                &[("direction", "in")],
-                "wire bytes transferred (frame headers + payloads)",
-            ),
-            bytes_out: registry.counter(
-                "qcn_serve_wire_bytes_total",
-                &[("direction", "out")],
-                "wire bytes transferred (frame headers + payloads)",
-            ),
+            wire: WireMetrics::register(&registry, "serve"),
             latency_hist: registry.histogram(
                 "qcn_serve_request_latency_us",
                 &[],
                 "end-to-end request latency (microseconds)",
                 &latency_bounds_us(),
+            ),
+            latency_window: registry.summary(
+                "qcn_serve_request_latency_window_us",
+                &[],
+                "exact nearest-rank latency quantiles over the most recent samples (microseconds)",
+                latency_window,
             ),
             batch_hist: registry.histogram(
                 "qcn_serve_batch_size",
@@ -160,10 +133,8 @@ impl Metrics {
                 &exponential_bounds(1.0, 2.0, 7),
             ),
             registry,
-            inner: Mutex::new(Recorded {
-                dense_batches: vec![0; max_batch.min(BATCH_HIST_SLOTS)],
-                latencies: SampleWindow::new(latency_window),
-            }),
+            dense_batches: std::array::from_fn(|_| AtomicU64::new(0)),
+            batch_slots: max_batch.min(BATCH_HIST_SLOTS),
         }
     }
 
@@ -203,48 +174,32 @@ impl Metrics {
         self.failed.add(n as u64);
     }
 
-    pub(crate) fn on_connection_open(&self) {
-        self.connections_accepted.inc();
-        self.connections_active.inc();
-    }
-
-    pub(crate) fn on_connection_close(&self) {
-        self.connections_active.dec();
-    }
-
-    pub(crate) fn on_malformed_frame(&self) {
-        self.malformed_frames.inc();
-    }
-
-    pub(crate) fn on_bytes_in(&self, n: u64) {
-        self.bytes_in.add(n);
-    }
-
-    pub(crate) fn on_bytes_out(&self, n: u64) {
-        self.bytes_out.add(n);
-    }
-
     /// Records one executed batch and its requests' end-to-end latencies.
     pub(crate) fn on_batch(&self, batch_size: usize, latencies_us: &[u64]) {
         self.completed.add(latencies_us.len() as u64);
         self.batch_hist.observe(batch_size as f64);
         let slot = batch_size.min(BATCH_HIST_SLOTS) - 1;
-        let mut inner = self.inner.lock().expect("metrics lock");
-        if slot >= inner.dense_batches.len() {
-            inner.dense_batches.resize(slot + 1, 0);
-        }
-        inner.dense_batches[slot] += 1;
+        self.dense_batches[slot].fetch_add(1, Ordering::Relaxed);
         for &l in latencies_us {
-            inner.latencies.push(l);
+            self.latency_window.observe(l);
             self.latency_hist.observe(l as f64);
         }
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics lock");
-        let [p50, p95, p99] = inner.latencies.percentiles([0.50, 0.95, 0.99]);
-        let batch_histogram = inner.dense_batches.clone();
-        drop(inner);
+        let [p50, p95, p99] = self.latency_window.quantiles();
+        let mut batch_histogram: Vec<u64> = self
+            .dense_batches
+            .iter()
+            .map(|slot| slot.load(Ordering::Relaxed))
+            .collect();
+        // Trim to the configured slots, or further out if a larger batch
+        // was ever recorded.
+        let used = batch_histogram
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |i| i + 1);
+        batch_histogram.truncate(used.max(self.batch_slots));
         // The telemetry histogram's (count, sum) is (batches, requests
         // through batches): the exact mean even for overflow-slot sizes.
         let batches = self.batch_hist.count();
@@ -259,11 +214,11 @@ impl Metrics {
             shed: self.shed.get(),
             worker_respawns: self.worker_respawns.get(),
             max_queue_depth: self.queue_depth_max.get() as usize,
-            connections_accepted: self.connections_accepted.get(),
-            connections_active: self.connections_active.get().max(0) as usize,
-            malformed_frames: self.malformed_frames.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
+            connections_accepted: self.wire.accepted.get(),
+            connections_active: self.wire.active.get().max(0) as usize,
+            malformed_frames: self.wire.malformed.get(),
+            bytes_in: self.wire.bytes_in.get(),
+            bytes_out: self.wire.bytes_out.get(),
             batch_histogram,
             mean_batch: if batches == 0 {
                 0.0
@@ -276,27 +231,13 @@ impl Metrics {
         }
     }
 
-    /// Prometheus text exposition: the server's own registry, the exact
-    /// recent-window latency quantiles as a summary, uptime, then the
-    /// process-wide library metrics (engine stage timings, thread-pool
-    /// dispatch, search-cache counters).
+    /// Prometheus text exposition: the server's own registry (the exact
+    /// recent-window latency quantiles among it, as a summary), uptime,
+    /// then the process-wide library metrics (engine stage timings,
+    /// thread-pool dispatch, search-cache counters).
     pub(crate) fn render_prometheus(&self) -> String {
         let mut out = String::new();
         self.registry.render_prometheus_into(&mut out);
-        let [p50, p95, p99] = {
-            let inner = self.inner.lock().expect("metrics lock");
-            inner.latencies.percentiles([0.50, 0.95, 0.99])
-        };
-        out.push_str(concat!(
-            "# HELP qcn_serve_request_latency_window_us exact nearest-rank ",
-            "latency quantiles over the most recent samples (microseconds)\n",
-            "# TYPE qcn_serve_request_latency_window_us summary\n",
-        ));
-        for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
-            out.push_str(&format!(
-                "qcn_serve_request_latency_window_us{{quantile=\"{q}\"}} {v}\n"
-            ));
-        }
         out.push_str("# HELP qcn_serve_uptime_seconds seconds since the server started\n");
         out.push_str("# TYPE qcn_serve_uptime_seconds gauge\n");
         out.push_str(&format!(
@@ -451,13 +392,13 @@ mod tests {
     #[test]
     fn wire_counters_accumulate() {
         let m = Metrics::new(1);
-        m.on_connection_open();
-        m.on_connection_open();
-        m.on_connection_close();
-        m.on_malformed_frame();
-        m.on_bytes_in(128);
-        m.on_bytes_in(64);
-        m.on_bytes_out(256);
+        m.wire.accepted.add(2);
+        m.wire.active.add(2);
+        m.wire.active.dec();
+        m.wire.malformed.inc();
+        m.wire.bytes_in.add(128);
+        m.wire.bytes_in.add(64);
+        m.wire.bytes_out.add(256);
         let s = m.snapshot();
         assert_eq!(s.connections_accepted, 2);
         assert_eq!(s.connections_active, 1);
@@ -471,7 +412,7 @@ mod tests {
         let m = Metrics::new(4);
         m.on_submit(3);
         m.on_batch(2, &[10, 20]);
-        m.on_bytes_in(96);
+        m.wire.bytes_in.add(96);
         let text = m.render_prometheus();
         for needle in [
             "# TYPE qcn_serve_requests_submitted_total counter",

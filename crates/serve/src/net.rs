@@ -1,48 +1,62 @@
-//! The TCP socket front-end: a `std::net` listener that puts the
-//! dynamic-batching [`Server`] behind a real network boundary.
+//! The TCP front-end shared by every listener in the serving stack: the
+//! pipelined wire front-end ([`FrontEnd`]) behind [`SocketServer`] and
+//! `qcn_router::Router`, and the scrape endpoint [`MetricsHttp`].
 //!
 //! ## Connection model
 //!
-//! Every accepted connection gets a **reader** and a **writer** thread.
-//! The reader parses length-prefixed request frames ([`crate::wire`]) and
-//! submits each straight into [`Server::submit`] — it never waits for the
-//! answer, so one connection can pipeline an arbitrary number of in-flight
-//! requests. The writer resolves the resulting [`Pending`] tickets in
-//! submission order and streams the response frames back. Responses on a
-//! connection therefore arrive in request order, each echoing the client's
-//! request id; batching, reordering across connections and per-request
-//! scheduling all happen in the server behind it, under the same
-//! determinism contract as in-process callers.
+//! A [`FrontEnd`] owns the accept thread, and every accepted connection
+//! gets a **reader** and a **writer** thread. The reader parses
+//! length-prefixed request frames ([`crate::wire`]) and hands each to the
+//! component's [`Handler`], which answers at once
+//! ([`WriterItem::Ready`]) or returns a ticket ([`WriterItem::Wait`]) — it
+//! never waits for the answer, so one connection can pipeline an
+//! arbitrary number of in-flight requests. The writer resolves the items
+//! strictly in arrival order and streams the response frames back, so
+//! responses on a connection arrive in request order, each echoing the
+//! client's request id. Consecutive ready responses share one flush.
 //!
-//! Submission-time rejections (unknown model, bad geometry, queue full,
-//! shutting down) are answered inline as typed error frames, preserving
-//! response order — remote clients see exactly the
-//! [`SubmitError`](crate::SubmitError) / [`ServeError`](crate::ServeError)
-//! variants an in-process caller sees. Stats frames
-//! ([`crate::wire::WireFrame::Stats`]) are likewise answered inline with
-//! the server's live Prometheus text ([`Server::prometheus`]).
+//! The handler is the only per-component part:
+//!
+//! * [`SocketServer`] submits into [`Server::submit`] and waits on the
+//!   [`Pending`] ticket; submission-time rejections (unknown model, bad
+//!   geometry, queue full, shutting down) are answered inline as typed
+//!   error frames, so remote clients see exactly the
+//!   [`SubmitError`](crate::SubmitError) / [`ServeError`](crate::ServeError)
+//!   variants an in-process caller sees.
+//! * The router applies its admission budget and dispatches to a replica;
+//!   its ticket is the request's response channel.
+//!
+//! Stats frames ([`crate::wire::WireFrame::Stats`]) are answered inline
+//! with the component's live Prometheus text.
+//!
+//! Each front-end is named after its component (`"serve"`, `"router"`).
+//! The name prefixes its thread names, its chaos sites
+//! (`{name}.net.read` after a frame is read, `{name}.net.write` before a
+//! response is written) and its five wire series ([`WireMetrics`]).
 //!
 //! ## Metrics endpoint
 //!
-//! [`MetricsHttp`] is a second, independent listener speaking just enough
-//! HTTP/1.1 to serve `GET /metrics` as Prometheus text exposition — point
-//! a scraper at it while the wire protocol stays binary-only.
+//! [`MetricsHttp`] is a second, independent listener on the same accept
+//! loop, speaking just enough HTTP/1.1 to serve `GET /metrics` as
+//! Prometheus text exposition — point a scraper at it while the wire
+//! protocol stays binary-only.
 //!
 //! ## Malformed input
 //!
 //! A frame that exceeds the size limit or fails to parse increments the
 //! `malformed_frames` counter and closes the connection: once framing is
 //! violated, byte boundaries can no longer be trusted, so resynchronizing
-//! would risk misrouting tensors.
+//! would risk misrouting tensors. Validation happens before the handler
+//! sees the frame, so malformed bytes never reach a shared upstream.
 //!
 //! ## Shutdown
 //!
-//! [`SocketServer::shutdown`] first stops accepting, then half-closes the
-//! read side of every live connection: readers see EOF and stop submitting,
-//! writers drain every already-submitted request and deliver its response.
-//! Only after all connections are drained and joined is the inner
-//! [`Server::shutdown`] invoked — no request accepted over the wire is ever
-//! silently dropped.
+//! [`FrontEnd::shutdown`] first stops accepting, then half-closes the
+//! read side of every live connection: readers see EOF and stop handing
+//! in frames, writers drain every already-accepted request and deliver its
+//! response. [`SocketServer::shutdown`] invokes the inner
+//! [`Server::shutdown`] only after all connections are drained and joined
+//! — no request accepted over the wire is ever silently dropped.
 
 use crate::metrics::MetricsSnapshot;
 use crate::server::{Pending, Server};
@@ -50,6 +64,7 @@ use crate::wire::{
     decode_request_frame, encode_response, encode_stats_response, read_frame, write_frame,
     WireError, WireFrame, WireResponse,
 };
+use qcn_telemetry::{Counter, Gauge, Registry};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,12 +73,158 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// What the reader hands the writer for one request, in arrival order.
-enum WriterItem {
+#[derive(Debug)]
+pub enum WriterItem<T> {
     /// Answerable immediately (submission rejection, stats pull): the
-    /// pre-encoded response payload.
+    /// encoded response payload.
     Ready(Vec<u8>),
-    /// Accepted: resolve the ticket, then answer.
-    Wait(u64, Pending),
+    /// Accepted under request id `.0`: resolve the ticket, then answer.
+    Wait(u64, T),
+}
+
+/// The per-component half of a [`FrontEnd`]: what one well-formed frame
+/// turns into.
+pub trait Handler: Send + Sync + 'static {
+    /// What an accepted request waits on until its answer exists.
+    type Ticket: Send + 'static;
+
+    /// Handles one decoded `frame` on its connection's reader thread;
+    /// `payload` is the raw frame it was decoded from. Must not block on
+    /// the answer — return a ticket instead. Takes the `Arc` so a handler
+    /// can hand itself to the work it starts.
+    fn handle(self: &Arc<Self>, frame: WireFrame, payload: Vec<u8>) -> WriterItem<Self::Ticket>;
+
+    /// Blocks until `ticket` is answered and returns the encoded response
+    /// for request `id`. Called on the writer thread, strictly in arrival
+    /// order.
+    fn resolve(&self, id: u64, ticket: Self::Ticket) -> Vec<u8>;
+}
+
+/// The five wire series of one front-end, registered in its owner's
+/// registry as `qcn_{name}_…`.
+#[derive(Debug, Clone)]
+pub struct WireMetrics {
+    name: &'static str,
+    /// `qcn_{name}_connections_accepted_total`.
+    pub accepted: Counter,
+    /// `qcn_{name}_connections_active`.
+    pub active: Gauge,
+    /// `qcn_{name}_malformed_frames_total`.
+    pub malformed: Counter,
+    /// `qcn_{name}_wire_bytes_total{direction="in"}`: frame headers and
+    /// payloads read.
+    pub bytes_in: Counter,
+    /// `qcn_{name}_wire_bytes_total{direction="out"}`.
+    pub bytes_out: Counter,
+}
+
+impl WireMetrics {
+    /// Gets or registers the wire series of the front-end named `name` in
+    /// `registry`.
+    pub fn register(registry: &Registry, name: &'static str) -> WireMetrics {
+        let bytes = |direction| {
+            registry.counter(
+                &format!("qcn_{name}_wire_bytes_total"),
+                &[("direction", direction)],
+                "wire bytes transferred (frame headers + payloads)",
+            )
+        };
+        WireMetrics {
+            name,
+            accepted: registry.counter(
+                &format!("qcn_{name}_connections_accepted_total"),
+                &[],
+                "socket connections accepted by the front-end",
+            ),
+            active: registry.gauge(
+                &format!("qcn_{name}_connections_active"),
+                &[],
+                "socket connections currently open",
+            ),
+            malformed: registry.counter(
+                &format!("qcn_{name}_malformed_frames_total"),
+                &[],
+                "frames rejected as unparseable (each closes its connection)",
+            ),
+            bytes_in: bytes("in"),
+            bytes_out: bytes("out"),
+        }
+    }
+}
+
+/// One listener's accept thread and the flag that stops it.
+struct Acceptor {
+    local_addr: SocketAddr,
+    open: Arc<AtomicBool>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Acceptor {
+    /// Starts a thread that passes every accepted connection to
+    /// `on_accept` until [`stop`](Self::stop).
+    fn spawn(
+        listener: TcpListener,
+        thread_name: String,
+        mut on_accept: impl FnMut(TcpStream) + Send + 'static,
+    ) -> io::Result<Acceptor> {
+        let local_addr = listener.local_addr()?;
+        let open = Arc::new(AtomicBool::new(true));
+        let thread = {
+            let open = Arc::clone(&open);
+            std::thread::Builder::new()
+                .name(thread_name)
+                .spawn(move || accept_loop(&listener, &open, &mut on_accept))?
+        };
+        Ok(Acceptor {
+            local_addr,
+            open,
+            thread: Mutex::new(Some(thread)),
+        })
+    }
+
+    fn is_open(&self) -> bool {
+        self.open.load(Ordering::SeqCst)
+    }
+
+    /// Stops accepting and joins the accept thread. Idempotent.
+    fn stop(&self) {
+        self.open.store(false, Ordering::SeqCst);
+        if let Some(handle) = self.thread.lock().expect("accept handle lock").take() {
+            // Unblock the accept call with a throwaway connection.
+            let _ = TcpStream::connect(wakeup_addr(self.local_addr));
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Where to connect to wake a listener bound on `addr` (an unspecified
+/// bind address is not connectable — use loopback on the same port).
+fn wakeup_addr(addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
+    } else {
+        addr
+    }
+}
+
+/// Accepts until the open flag drops; an accept error while open (a
+/// transient `EMFILE`, say) skips that connection, never the listener.
+fn accept_loop(listener: &TcpListener, open: &AtomicBool, on_accept: &mut impl FnMut(TcpStream)) {
+    loop {
+        let accepted = listener.accept();
+        if !open.load(Ordering::SeqCst) {
+            return; // includes the shutdown wake-up connection
+        }
+        if let Ok((stream, _)) = accepted {
+            on_accept(stream);
+        }
+    }
 }
 
 /// One live connection's threads and the stream handle used to interrupt
@@ -74,20 +235,268 @@ struct Connection {
     writer: JoinHandle<()>,
 }
 
-struct NetShared {
-    open: AtomicBool,
-    conns: Mutex<Vec<Connection>>,
+impl Connection {
+    fn is_finished(&self) -> bool {
+        self.reader.is_finished() && self.writer.is_finished()
+    }
+
+    fn join(self) {
+        let _ = self.reader.join();
+        let _ = self.writer.join();
+    }
 }
 
 /// Decrements the active-connection gauge when the last per-connection
 /// thread exits, whichever thread that is.
-struct ConnGuard {
-    server: Arc<Server>,
-}
+struct ConnGuard(Gauge);
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.server.metrics_sink().on_connection_close();
+        self.0.dec();
+    }
+}
+
+/// The pipelined wire front-end: an accept thread plus a reader and a
+/// writer thread per connection, feeding one [`Handler`]. See the module
+/// docs for the connection model.
+pub struct FrontEnd {
+    acceptor: Acceptor,
+    conns: Arc<Mutex<Vec<Connection>>>,
+}
+
+impl FrontEnd {
+    /// Starts accepting connections on `listener` for `handler`, counting
+    /// into `wire` (whose name also names the threads and chaos sites).
+    pub fn start<H: Handler>(
+        listener: TcpListener,
+        handler: Arc<H>,
+        wire: WireMetrics,
+    ) -> io::Result<FrontEnd> {
+        let conns: Arc<Mutex<Vec<Connection>>> = Arc::default();
+        let acceptor = {
+            let conns = Arc::clone(&conns);
+            Acceptor::spawn(
+                listener,
+                format!("qcn-{}-accept", wire.name),
+                move |stream| {
+                    let mut conns = conns.lock().expect("connection list lock");
+                    // Opportunistic sweep: join connections that already
+                    // hung up so a long-running listener does not
+                    // accumulate dead handles.
+                    let (dead, live) = std::mem::take(&mut *conns)
+                        .into_iter()
+                        .partition(Connection::is_finished);
+                    *conns = live;
+                    dead.into_iter().for_each(Connection::join);
+                    // A failed stream clone just drops the connection.
+                    if let Ok(conn) = spawn_connection(stream, &handler, &wire) {
+                        conns.push(conn);
+                    }
+                },
+            )?
+        };
+        Ok(FrontEnd { acceptor, conns })
+    }
+
+    /// The bound address (resolves port-0 binds).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.acceptor.local_addr
+    }
+
+    /// Whether the front-end still accepts connections.
+    pub(crate) fn is_open(&self) -> bool {
+        self.acceptor.is_open()
+    }
+
+    /// Graceful shutdown: stop accepting, half-close every connection so
+    /// its reader stops handing in frames, let the writers drain every
+    /// accepted request's response, and join the connection threads.
+    /// Idempotent; also runs on drop.
+    pub fn shutdown(&self) {
+        self.acceptor.stop();
+        let conns = std::mem::take(&mut *self.conns.lock().expect("connection list lock"));
+        for conn in conns {
+            // Readers stop at EOF; already-read requests stay in flight and
+            // their responses are still written before the writer exits.
+            let _ = conn.stream.shutdown(Shutdown::Read);
+            conn.join();
+        }
+    }
+}
+
+impl Drop for FrontEnd {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn spawn_connection<H: Handler>(
+    stream: TcpStream,
+    handler: &Arc<H>,
+    wire: &WireMetrics,
+) -> io::Result<Connection> {
+    // Response frames are small relative to Nagle's coalescing window and
+    // the client blocks on them; never trade their latency for batching.
+    stream.set_nodelay(true)?;
+    wire.accepted.inc();
+    wire.active.inc();
+    let guard = Arc::new(ConnGuard(wire.active.clone()));
+    let (tx, rx) = mpsc::channel();
+    let reader = {
+        let (stream, handler, wire) = (stream.try_clone()?, Arc::clone(handler), wire.clone());
+        let guard = Arc::clone(&guard);
+        std::thread::Builder::new()
+            .name(format!("qcn-{}-read", wire.name))
+            .spawn(move || {
+                connection_reader(stream, &handler, &wire, &tx);
+                drop(guard);
+            })?
+    };
+    let writer = {
+        let (stream, handler, wire) = (stream.try_clone()?, Arc::clone(handler), wire.clone());
+        std::thread::Builder::new()
+            .name(format!("qcn-{}-write", wire.name))
+            .spawn(move || {
+                connection_writer(stream, &*handler, &wire, &rx);
+                drop(guard);
+            })?
+    };
+    Ok(Connection {
+        stream,
+        reader,
+        writer,
+    })
+}
+
+/// Parses and validates request frames and hands them to the handler;
+/// never blocks on results.
+fn connection_reader<H: Handler>(
+    stream: TcpStream,
+    handler: &Arc<H>,
+    wire: &WireMetrics,
+    tx: &mpsc::Sender<WriterItem<H::Ticket>>,
+) {
+    let site = format!("{}.net.read", wire.name);
+    let mut reader = BufReader::new(stream);
+    loop {
+        let payload = match read_frame(&mut reader) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => break, // clean EOF at a frame boundary
+            Err(e) => {
+                if e.kind() == ErrorKind::InvalidData {
+                    // Oversized announced frame: framing is untrustworthy.
+                    wire.malformed.inc();
+                    let _ = reader.get_ref().shutdown(Shutdown::Both);
+                }
+                break;
+            }
+        };
+        // Chaos site `{name}.net.read`: stall the reader (delay) or tear
+        // the connection down mid-stream (reset) after a frame arrives.
+        // The client sees an io error / EOF — a typed failure, and the
+        // pipeline for already-accepted work still drains.
+        if qcn_chaos::hit(&site).is_some() {
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            break;
+        }
+        wire.bytes_in.add(payload.len() as u64 + 4);
+        let Ok(frame) = decode_request_frame(&payload) else {
+            wire.malformed.inc();
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            break;
+        };
+        if tx.send(handler.handle(frame, payload)).is_err() {
+            break; // writer is gone (write error); stop reading
+        }
+    }
+    // Dropping `tx` lets the writer finish once it has drained the
+    // already-accepted requests.
+}
+
+/// Resolves items in arrival order and streams response frames back.
+fn connection_writer<H: Handler>(
+    stream: TcpStream,
+    handler: &H,
+    wire: &WireMetrics,
+    rx: &mpsc::Receiver<WriterItem<H::Ticket>>,
+) {
+    let site = format!("{}.net.write", wire.name);
+    let mut writer = BufWriter::new(stream);
+    loop {
+        // Take the next item without blocking if one is ready; flush the
+        // buffered frames before going to sleep, so consecutive responses
+        // share one syscall while a lone response still leaves promptly.
+        let item = match rx.try_recv() {
+            Ok(item) => item,
+            Err(mpsc::TryRecvError::Disconnected) => break,
+            Err(mpsc::TryRecvError::Empty) => {
+                if writer.flush().is_err() {
+                    break;
+                }
+                match rx.recv() {
+                    Ok(item) => item,
+                    Err(_) => break,
+                }
+            }
+        };
+        let payload = match item {
+            WriterItem::Ready(payload) => payload,
+            WriterItem::Wait(id, ticket) => handler.resolve(id, ticket),
+        };
+        // Chaos site `{name}.net.write`: delay, reset before the frame, or
+        // emit a truncated frame then close — the client's framing layer
+        // must turn the torn frame into a typed io error, never a
+        // misparsed tensor.
+        match qcn_chaos::hit(&site) {
+            None => {}
+            Some(qcn_chaos::Fault::Truncate(n)) => {
+                let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
+                framed.extend_from_slice(&payload);
+                framed.truncate(n.min(framed.len().saturating_sub(1)).max(1));
+                let _ = writer.write_all(&framed);
+                break;
+            }
+            Some(_) => break,
+        }
+        match write_frame(&mut writer, &payload) {
+            Ok(n) => wire.bytes_out.add(n),
+            Err(_) => break,
+        }
+    }
+    let _ = writer.flush();
+    let _ = writer.get_ref().shutdown(Shutdown::Both);
+    // Unanswered tickets (write error, or rejection frames we could not
+    // deliver) are dropped here; the work behind them still completes.
+}
+
+/// The batching server's handler: submit, and wait on the [`Pending`]
+/// ticket.
+impl Handler for Server {
+    type Ticket = Pending;
+
+    fn handle(self: &Arc<Self>, frame: WireFrame, _payload: Vec<u8>) -> WriterItem<Pending> {
+        match frame {
+            WireFrame::Infer(request) => match self.submit(&request.model, request.input) {
+                Ok(pending) => WriterItem::Wait(request.id, pending),
+                Err(e) => WriterItem::Ready(encode_response(&WireResponse {
+                    id: request.id,
+                    result: Err(WireError::Submit(e)),
+                })),
+            },
+            // Stats pulls are answered inline from the live registries —
+            // they never enter the batching queue, but still flow through
+            // the writer so responses keep submission order.
+            WireFrame::Stats { id } => {
+                WriterItem::Ready(encode_stats_response(id, &self.prometheus()))
+            }
+        }
+    }
+
+    fn resolve(&self, id: u64, pending: Pending) -> Vec<u8> {
+        encode_response(&WireResponse {
+            id,
+            result: pending.wait().map_err(WireError::Serve),
+        })
     }
 }
 
@@ -122,9 +531,7 @@ impl Drop for ConnGuard {
 /// ```
 pub struct SocketServer {
     server: Arc<Server>,
-    local_addr: SocketAddr,
-    shared: Arc<NetShared>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    front: FrontEnd,
 }
 
 impl SocketServer {
@@ -141,30 +548,14 @@ impl SocketServer {
     /// with `SO_REUSEADDR` so a replica can come back on a port that still
     /// holds `TIME_WAIT` sockets from its previous life.
     pub fn from_listener(server: Arc<Server>, listener: TcpListener) -> io::Result<SocketServer> {
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(NetShared {
-            open: AtomicBool::new(true),
-            conns: Mutex::new(Vec::new()),
-        });
-        let accept = {
-            let server = Arc::clone(&server);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("qcn-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &server, &shared))
-                .expect("spawn accept thread")
-        };
-        Ok(SocketServer {
-            server,
-            local_addr,
-            shared,
-            accept: Mutex::new(Some(accept)),
-        })
+        let wire = server.metrics_sink().wire.clone();
+        let front = FrontEnd::start(listener, Arc::clone(&server), wire)?;
+        Ok(SocketServer { server, front })
     }
 
     /// The bound address (resolves port-0 binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The inner batching server (for in-process submissions alongside
@@ -173,28 +564,11 @@ impl SocketServer {
         &self.server
     }
 
-    /// Graceful shutdown: stop accepting, half-close every connection so
-    /// its reader stops submitting, let the writers drain every in-flight
-    /// response, join the connection threads, then shut the inner
-    /// [`Server`] down. Returns the final metrics. Idempotent.
+    /// Graceful shutdown: drain and join the front-end
+    /// ([`FrontEnd::shutdown`]), then shut the inner [`Server`] down.
+    /// Returns the final metrics. Idempotent.
     pub fn shutdown(&self) -> MetricsSnapshot {
-        self.shared.open.store(false, Ordering::SeqCst);
-        if let Some(handle) = self.accept.lock().expect("accept handle lock").take() {
-            // Unblock the accept call with a throwaway connection.
-            let _ = TcpStream::connect(wakeup_addr(self.local_addr));
-            let _ = handle.join();
-        }
-        let conns: Vec<Connection> = {
-            let mut guard = self.shared.conns.lock().expect("connection list lock");
-            guard.drain(..).collect()
-        };
-        for conn in conns {
-            // Readers stop at EOF; already-read requests stay in flight and
-            // their responses are still written before the writer exits.
-            let _ = conn.stream.shutdown(Shutdown::Read);
-            let _ = conn.reader.join();
-            let _ = conn.writer.join();
-        }
+        self.front.shutdown();
         self.server.shutdown()
     }
 }
@@ -208,204 +582,10 @@ impl Drop for SocketServer {
 impl std::fmt::Debug for SocketServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketServer")
-            .field("local_addr", &self.local_addr)
-            .field("open", &self.shared.open.load(Ordering::Relaxed))
+            .field("local_addr", &self.local_addr())
+            .field("open", &self.front.is_open())
             .finish()
     }
-}
-
-/// Where to connect to wake a listener bound on `addr` (an unspecified
-/// bind address is not connectable — use loopback on the same port).
-fn wakeup_addr(addr: SocketAddr) -> SocketAddr {
-    if addr.ip().is_unspecified() {
-        SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
-    } else {
-        addr
-    }
-}
-
-fn accept_loop(listener: &TcpListener, server: &Arc<Server>, shared: &Arc<NetShared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if !shared.open.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if !shared.open.load(Ordering::SeqCst) {
-            // Includes the shutdown wake-up connection.
-            return;
-        }
-        let mut conns = shared.conns.lock().expect("connection list lock");
-        // Opportunistic sweep: join connections that already hung up so a
-        // long-running server does not accumulate dead handles.
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].reader.is_finished() && conns[i].writer.is_finished() {
-                let conn = conns.swap_remove(i);
-                let _ = conn.reader.join();
-                let _ = conn.writer.join();
-            } else {
-                i += 1;
-            }
-        }
-        match spawn_connection(stream, server) {
-            Ok(conn) => conns.push(conn),
-            Err(_) => continue, // stream cloning failed; drop the connection
-        }
-    }
-}
-
-fn spawn_connection(stream: TcpStream, server: &Arc<Server>) -> io::Result<Connection> {
-    // Response frames are small relative to Nagle's coalescing window and
-    // the client blocks on them; never trade their latency for batching.
-    stream.set_nodelay(true)?;
-    let metrics = server.metrics_sink();
-    metrics.on_connection_open();
-    let guard = Arc::new(ConnGuard {
-        server: Arc::clone(server),
-    });
-    let (tx, rx) = mpsc::channel::<WriterItem>();
-    let reader = {
-        let stream = stream.try_clone()?;
-        let server = Arc::clone(server);
-        let guard = Arc::clone(&guard);
-        std::thread::Builder::new()
-            .name("qcn-serve-read".to_string())
-            .spawn(move || {
-                connection_reader(stream, &server, &tx);
-                drop(guard);
-            })?
-    };
-    let writer = {
-        let stream = stream.try_clone()?;
-        let server = Arc::clone(server);
-        std::thread::Builder::new()
-            .name("qcn-serve-write".to_string())
-            .spawn(move || {
-                connection_writer(stream, &server, &rx);
-                drop(guard);
-            })?
-    };
-    Ok(Connection {
-        stream,
-        reader,
-        writer,
-    })
-}
-
-/// Parses request frames and submits them; never blocks on results.
-fn connection_reader(stream: TcpStream, server: &Arc<Server>, tx: &mpsc::Sender<WriterItem>) {
-    let metrics = server.metrics_sink();
-    let mut reader = BufReader::new(stream);
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break, // clean EOF at a frame boundary
-            Err(e) => {
-                if e.kind() == ErrorKind::InvalidData {
-                    // Oversized announced frame: framing is untrustworthy.
-                    metrics.on_malformed_frame();
-                    let _ = reader.get_ref().shutdown(Shutdown::Both);
-                }
-                break;
-            }
-        };
-        // Chaos site `serve.net.read`: stall the reader (delay) or tear
-        // the connection down mid-stream (reset) after a frame arrives.
-        // The client sees an io error / EOF — a typed failure, and the
-        // server-side pipeline for already-submitted work still drains.
-        if qcn_chaos::hit("serve.net.read").is_some() {
-            let _ = reader.get_ref().shutdown(Shutdown::Both);
-            break;
-        }
-        metrics.on_bytes_in(payload.len() as u64 + 4);
-        let frame = match decode_request_frame(&payload) {
-            Ok(frame) => frame,
-            Err(_) => {
-                metrics.on_malformed_frame();
-                let _ = reader.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
-        };
-        let item = match frame {
-            WireFrame::Infer(request) => match server.submit(&request.model, request.input) {
-                Ok(pending) => WriterItem::Wait(request.id, pending),
-                Err(e) => WriterItem::Ready(encode_response(&WireResponse {
-                    id: request.id,
-                    result: Err(WireError::Submit(e)),
-                })),
-            },
-            // Stats pulls are answered inline from the live registries —
-            // they never enter the batching queue, but still flow through
-            // the writer so responses keep submission order.
-            WireFrame::Stats { id } => {
-                WriterItem::Ready(encode_stats_response(id, &server.prometheus()))
-            }
-        };
-        if tx.send(item).is_err() {
-            break; // writer is gone (write error); stop reading
-        }
-    }
-    // Dropping `tx` lets the writer finish once it has drained the
-    // already-submitted requests.
-}
-
-/// Resolves tickets in submission order and streams response frames back.
-fn connection_writer(stream: TcpStream, server: &Arc<Server>, rx: &mpsc::Receiver<WriterItem>) {
-    let metrics = server.metrics_sink();
-    let mut writer = BufWriter::new(stream);
-    loop {
-        // Take the next item without blocking if one is ready; flush the
-        // buffered frames before going to sleep, so consecutive responses
-        // share one syscall while a lone response still leaves promptly.
-        let item = match rx.try_recv() {
-            Ok(item) => item,
-            Err(mpsc::TryRecvError::Disconnected) => break,
-            Err(mpsc::TryRecvError::Empty) => {
-                if writer.flush().is_err() {
-                    break;
-                }
-                match rx.recv() {
-                    Ok(item) => item,
-                    Err(_) => break,
-                }
-            }
-        };
-        let payload = match item {
-            WriterItem::Ready(payload) => payload,
-            WriterItem::Wait(id, pending) => encode_response(&WireResponse {
-                id,
-                result: pending.wait().map_err(WireError::Serve),
-            }),
-        };
-        // Chaos site `serve.net.write`: delay, reset before the frame, or
-        // emit a truncated frame then close — the client's framing layer
-        // must turn the torn frame into a typed io error, never a
-        // misparsed tensor.
-        match qcn_chaos::hit("serve.net.write") {
-            None => {}
-            Some(qcn_chaos::Fault::Truncate(n)) => {
-                let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
-                framed.extend_from_slice(&payload);
-                framed.truncate(n.min(framed.len().saturating_sub(1)).max(1));
-                let _ = writer.write_all(&framed);
-                break;
-            }
-            Some(_) => break,
-        }
-        match write_frame(&mut writer, &payload) {
-            Ok(n) => metrics.on_bytes_out(n),
-            Err(_) => break,
-        }
-    }
-    let _ = writer.flush();
-    let _ = writer.get_ref().shutdown(Shutdown::Both);
-    // Unanswered tickets (write error, or SubmitError frames we could not
-    // deliver) are dropped here; the server still executes them.
 }
 
 /// Upper bound on one scrape request's header block; a peer sending more
@@ -430,70 +610,44 @@ const MAX_HTTP_REQUEST_BYTES: usize = 8 << 10;
 /// println!("scrape http://{}/metrics", exporter.local_addr());
 /// ```
 pub struct MetricsHttp {
-    local_addr: SocketAddr,
-    open: Arc<AtomicBool>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl MetricsHttp {
     /// Binds `addr` and starts serving scrapes for `server`. Bind to port
     /// 0 to let the OS pick.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> io::Result<MetricsHttp> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let open = Arc::new(AtomicBool::new(true));
-        let accept = {
-            let open = Arc::clone(&open);
-            std::thread::Builder::new()
-                .name("qcn-metrics-http".to_string())
-                .spawn(move || {
-                    // Scrapes are rare and cheap, so connections are served
-                    // sequentially on the accept thread; a short timeout
-                    // keeps a stalled peer from blocking the next scrape
-                    // for long.
-                    while let Ok((stream, _)) = listener.accept() {
-                        if !open.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                        let _ = serve_scrape(stream, &server);
-                    }
-                })
-                .expect("spawn metrics http thread")
-        };
-        Ok(MetricsHttp {
-            local_addr,
-            open,
-            accept: Mutex::new(Some(accept)),
-        })
+        // Scrapes are rare and cheap, so connections are served
+        // sequentially on the accept thread; a short timeout keeps a
+        // stalled peer from blocking the next scrape for long.
+        let acceptor = Acceptor::spawn(
+            TcpListener::bind(addr)?,
+            "qcn-metrics-http".to_string(),
+            move |stream| {
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+                let _ = serve_scrape(stream, &server);
+            },
+        )?;
+        Ok(MetricsHttp { acceptor })
     }
 
     /// The bound address (resolves port-0 binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr
     }
 
-    /// Stops the listener and joins its thread. Idempotent.
+    /// Stops the listener and joins its thread. Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&self) {
-        self.open.store(false, Ordering::SeqCst);
-        if let Some(handle) = self.accept.lock().expect("metrics http handle lock").take() {
-            let _ = TcpStream::connect(wakeup_addr(self.local_addr));
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsHttp {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.stop();
     }
 }
 
 impl std::fmt::Debug for MetricsHttp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsHttp")
-            .field("local_addr", &self.local_addr)
-            .field("open", &self.open.load(Ordering::Relaxed))
+            .field("local_addr", &self.local_addr())
+            .field("open", &self.acceptor.is_open())
             .finish()
     }
 }

@@ -439,8 +439,8 @@ impl Server {
         self.inner.metrics.render_prometheus()
     }
 
-    /// The shared metrics sink (the socket front-end records its wire
-    /// counters into the same snapshot).
+    /// The shared metrics sink (the socket front-end counts into its wire
+    /// series, which the snapshot reads).
     pub(crate) fn metrics_sink(&self) -> &Metrics {
         &self.inner.metrics
     }

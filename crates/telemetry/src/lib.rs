@@ -4,9 +4,10 @@
 //! layer of the repo: the tensor thread pool, both inference engines, the
 //! search-time evaluator and the serving tier. Three facilities:
 //!
-//! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]) — a
-//!   named metric registry with atomic counters, gauges and bucketed
-//!   histograms, rendered in the Prometheus text exposition format
+//! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`],
+//!   [`Summary`]) — a named metric registry with atomic counters, gauges,
+//!   bucketed histograms and exact recent-window quantile summaries,
+//!   rendered in the Prometheus text exposition format
 //!   ([`Registry::render_prometheus`]). A process-wide registry
 //!   ([`global`]) collects library-level metrics (engine stage timings,
 //!   pool dispatches, evaluator cache traffic); components with their own
@@ -50,7 +51,7 @@ pub use log::__emit;
 pub use log::{level, log_enabled, set_default_level, set_level, Level};
 pub use metrics::{
     exponential_bounds, global, latency_bounds_us, Counter, Gauge, Histogram, Labels,
-    MetricSnapshot, MetricValue, Registry,
+    MetricSnapshot, MetricValue, Registry, Summary, DEFAULT_SUMMARY_WINDOW,
 };
 pub use percentile::{nearest_rank, SampleWindow};
 pub use span::{maybe_start, set_timing, timing_enabled, StageTimer};

@@ -1,14 +1,16 @@
-//! The metrics registry: named counters, gauges and bucketed histograms
-//! with Prometheus text exposition.
+//! The metrics registry: named counters, gauges, bucketed histograms and
+//! windowed summaries with Prometheus text exposition.
 //!
 //! A [`Registry`] owns *families* (one name, one type, one help string),
 //! each holding one or more label-distinguished series. Handles
-//! ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones over
-//! lock-free atomics: registration takes the registry lock once, the hot
-//! path never does. Registering an existing `(name, labels)` pair returns
-//! a handle to the same underlying series, so any component can ask for
-//! "its" metric without coordinating ownership.
+//! ([`Counter`], [`Gauge`], [`Histogram`], [`Summary`]) are cheap `Arc`
+//! clones: registration takes the registry lock once, the hot path never
+//! does (a summary takes only its own window lock). Registering an
+//! existing `(name, labels)` pair returns a handle to the same underlying
+//! series, so any component can ask for "its" metric without
+//! coordinating ownership.
 
+use crate::percentile::{nearest_rank, SampleWindow};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -151,8 +153,7 @@ impl Histogram {
     ///
     /// Bucket sums are read without a global lock, so a concurrent
     /// observer can make the walk see slightly stale counts — fine for a
-    /// monitoring estimate (the exact-percentile path is
-    /// [`SampleWindow`](crate::SampleWindow)).
+    /// monitoring estimate (the exact-percentile path is [`Summary`]).
     pub fn percentile(&self, q: f64) -> f64 {
         let core = &self.0;
         let counts: Vec<u64> = core
@@ -178,6 +179,36 @@ impl Histogram {
             }
         }
         unreachable!("rank is clamped into the total");
+    }
+}
+
+/// The quantiles every [`Summary`] reports.
+const SUMMARY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// Default number of most-recent samples a [`Summary`] retains.
+pub const DEFAULT_SUMMARY_WINDOW: usize = 1 << 20;
+
+/// A windowed summary: **exact** nearest-rank p50/p95/p99 over a bounded
+/// ring of the most recent samples ([`SampleWindow`]), so a long-running
+/// component's quantiles always describe current traffic while memory
+/// stays bounded.
+///
+/// Reading copies the window under its lock and sorts the copy after
+/// releasing it, so a scrape never holds up the observers.
+#[derive(Debug, Clone)]
+pub struct Summary(Arc<Mutex<SampleWindow>>);
+
+impl Summary {
+    /// Records one sample, displacing the oldest once the window is full.
+    pub fn observe(&self, v: u64) {
+        self.0.lock().expect("summary window lock").push(v);
+    }
+
+    /// The current `[p50, p95, p99]` (all zero before any sample).
+    pub fn quantiles(&self) -> [u64; 3] {
+        let mut samples = self.0.lock().expect("summary window lock").to_vec();
+        samples.sort_unstable();
+        SUMMARY_QUANTILES.map(|q| nearest_rank(&samples, q))
     }
 }
 
@@ -212,6 +243,7 @@ enum Kind {
     Counter,
     Gauge,
     Histogram,
+    Summary,
 }
 
 impl Kind {
@@ -220,6 +252,7 @@ impl Kind {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
             Kind::Histogram => "histogram",
+            Kind::Summary => "summary",
         }
     }
 }
@@ -229,6 +262,7 @@ enum Series {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    Summary(Summary),
 }
 
 #[derive(Debug)]
@@ -255,6 +289,8 @@ pub enum MetricValue {
         /// Sum of observations.
         sum: f64,
     },
+    /// A summary's `(quantile, value)` pairs: 0.5, 0.95 and 0.99.
+    Summary(Vec<(f64, u64)>),
 }
 
 /// One `(name, labels, value)` triple from a registry snapshot.
@@ -294,7 +330,16 @@ impl Registry {
         Registry::default()
     }
 
-    fn register(&self, name: &str, labels: Labels, help: &str, kind: Kind) -> Series {
+    /// Gets the `(name, labels)` series, creating it with `make` (and the
+    /// family with `help`) on first registration.
+    fn register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        kind: Kind,
+        make: impl FnOnce() -> Series,
+    ) -> Series {
         assert!(valid_name(name), "invalid metric name {name:?}");
         let mut families = self.families.lock().expect("metric registry lock");
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -310,18 +355,15 @@ impl Registry {
         );
         family
             .series
-            .entry(labels)
-            .or_insert_with(|| match kind {
-                Kind::Counter => Series::Counter(Counter(Arc::new(AtomicU64::new(0)))),
-                Kind::Gauge => Series::Gauge(Gauge(Arc::new(AtomicI64::new(0)))),
-                Kind::Histogram => unreachable!("histograms register via histogram()"),
-            })
+            .entry(labels_of(labels))
+            .or_insert_with(make)
             .clone()
     }
 
     /// Gets or registers a counter series.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Counter {
-        match self.register(name, labels_of(labels), help, Kind::Counter) {
+        let make = || Series::Counter(Counter(Arc::new(AtomicU64::new(0))));
+        match self.register(name, labels, help, Kind::Counter, make) {
             Series::Counter(c) => c,
             _ => unreachable!("kind checked in register"),
         }
@@ -329,7 +371,8 @@ impl Registry {
 
     /// Gets or registers a gauge series.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Gauge {
-        match self.register(name, labels_of(labels), help, Kind::Gauge) {
+        let make = || Series::Gauge(Gauge(Arc::new(AtomicI64::new(0))));
+        match self.register(name, labels, help, Kind::Gauge, make) {
             Series::Gauge(g) => g,
             _ => unreachable!("kind checked in register"),
         }
@@ -350,25 +393,12 @@ impl Registry {
         help: &str,
         bounds: &[f64],
     ) -> Histogram {
-        assert!(valid_name(name), "invalid metric name {name:?}");
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
-        let labels = labels_of(labels);
-        let mut families = self.families.lock().expect("metric registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: Kind::Histogram,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            family.kind == Kind::Histogram,
-            "metric {name:?} registered as {} and histogram",
-            family.kind.type_label(),
-        );
-        let series = family.series.entry(labels).or_insert_with(|| {
+        let make = || {
             let mut buckets = Vec::with_capacity(bounds.len() + 1);
             buckets.resize_with(bounds.len() + 1, || AtomicU64::new(0));
             Series::Histogram(Histogram(Arc::new(HistCore {
@@ -377,10 +407,30 @@ impl Registry {
                 count: AtomicU64::new(0),
                 sum_bits: AtomicU64::new(0.0f64.to_bits()),
             })))
-        });
-        match series {
-            Series::Histogram(h) => h.clone(),
-            _ => unreachable!("kind checked above"),
+        };
+        match self.register(name, labels, help, Kind::Histogram, make) {
+            Series::Histogram(h) => h,
+            _ => unreachable!("kind checked in register"),
+        }
+    }
+
+    /// Gets or registers a summary series retaining the most recent
+    /// `window` samples. The window is fixed by the first registration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window == 0`.
+    pub fn summary(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        window: usize,
+    ) -> Summary {
+        let make = || Series::Summary(Summary(Arc::new(Mutex::new(SampleWindow::new(window)))));
+        match self.register(name, labels, help, Kind::Summary, make) {
+            Series::Summary(s) => s,
+            _ => unreachable!("kind checked in register"),
         }
     }
 
@@ -410,6 +460,9 @@ impl Registry {
                             sum: h.sum(),
                         }
                     }
+                    Series::Summary(s) => MetricValue::Summary(
+                        SUMMARY_QUANTILES.into_iter().zip(s.quantiles()).collect(),
+                    ),
                 };
                 out.push(MetricSnapshot {
                     name: name.clone(),
@@ -465,6 +518,13 @@ impl Registry {
                         let plain = render_labels(labels, &[]);
                         let _ = writeln!(out, "{}_sum{} {}", name, plain, fmt_f64(h.sum()));
                         let _ = writeln!(out, "{}_count{} {}", name, plain, h.count());
+                    }
+                    Series::Summary(s) => {
+                        for (q, v) in SUMMARY_QUANTILES.into_iter().zip(s.quantiles()) {
+                            let q = q.to_string();
+                            let labels = render_labels(labels, &[("quantile", &q)]);
+                            let _ = writeln!(out, "{name}{labels} {v}");
+                        }
                     }
                 }
             }
@@ -639,6 +699,26 @@ mod tests {
         assert!(text.contains("lat_us_bucket{stage=\"conv\",le=\"+Inf\"} 1\n"));
         assert!(text.contains("lat_us_sum{stage=\"conv\"} 50\n"));
         assert!(text.contains("lat_us_count{stage=\"conv\"} 1\n"));
+    }
+
+    #[test]
+    fn summary_renders_and_snapshots_window_quantiles() {
+        let reg = Registry::new();
+        let s = reg.summary("win_us", &[], "recent latency", 4);
+        assert_eq!(s.quantiles(), [0, 0, 0], "empty window reads zero");
+        for v in [1, 900, 900, 900, 900, 7, 8] {
+            s.observe(v);
+        }
+        // Window [900, 900, 7, 8] → sorted [7, 8, 900, 900].
+        assert_eq!(s.quantiles(), [8, 900, 900]);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE win_us summary\n"));
+        assert!(text.contains("win_us{quantile=\"0.5\"} 8\n"));
+        assert!(text.contains("win_us{quantile=\"0.99\"} 900\n"));
+        assert_eq!(
+            reg.snapshot()[0].value,
+            MetricValue::Summary(vec![(0.5, 8), (0.95, 900), (0.99, 900)])
+        );
     }
 
     #[test]

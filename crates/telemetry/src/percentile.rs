@@ -1,9 +1,10 @@
 //! Shared percentile math: exact nearest-rank over sorted samples, and a
 //! bounded most-recent sample window for sliding percentiles.
 //!
-//! This is the code `qcn_serve`'s latency metrics are built on — kept here
-//! so every component that reports percentiles agrees on the definition
-//! (nearest-rank: the smallest sample whose rank is at least `⌈q·n⌉`).
+//! This is the code the registry's [`Summary`](crate::Summary) is built
+//! on — kept here so every component that reports percentiles agrees on
+//! the definition (nearest-rank: the smallest sample whose rank is at
+//! least `⌈q·n⌉`).
 
 use std::collections::VecDeque;
 
@@ -22,8 +23,8 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 /// percentiles: a long-running server's p50/p95/p99 describe current
 /// traffic, never startup traffic, and memory stays bounded.
 ///
-/// Not internally synchronized — wrap in a `Mutex` when shared (the serve
-/// metrics sink does).
+/// Not internally synchronized — wrap in a `Mutex` when shared (the
+/// registry's [`Summary`](crate::Summary) does).
 #[derive(Debug, Clone)]
 pub struct SampleWindow {
     samples: VecDeque<u64>,
@@ -62,9 +63,14 @@ impl SampleWindow {
         self.samples.is_empty()
     }
 
+    /// The retained window, oldest first (allocates a copy).
+    pub fn to_vec(&self) -> Vec<u64> {
+        self.samples.iter().copied().collect()
+    }
+
     /// The retained window, ascending-sorted (allocates a copy).
     pub fn sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.samples.iter().copied().collect();
+        let mut v = self.to_vec();
         v.sort_unstable();
         v
     }

@@ -6,6 +6,10 @@ cd "$(git rev-parse --show-toplevel)"
 cargo fmt --check
 cargo build --release
 cargo test -q
+# The member crates' own unit, integration and doc tests (`cargo test` at
+# the root tests only the facade package). The vendored stand-ins are
+# workspace members too; their self-tests are skipped.
+cargo test -q --workspace --exclude qcn-repro --exclude criterion --exclude proptest --exclude rand
 cargo test -q --test integer_inference_equivalence
 # Serving soak: the determinism contract must hold for every kernel
 # thread count (serial, even split, odd split) — both for in-process

@@ -109,6 +109,9 @@ fn storm_plan(seed: u64) -> FaultPlan {
             FaultSpec::delay(0.05, Duration::from_micros(500)),
         )
         .with("serve.worker", FaultSpec::panic_fault(0.02))
+        .with("router.net.write", FaultSpec::reset(0.01))
+        .with("router.net.write", FaultSpec::truncate(0.01, 9))
+        .with("router.net.read", FaultSpec::reset(0.01))
         .with("router.upstream.write", FaultSpec::reset(0.02))
         .with("router.upstream.read", FaultSpec::reset(0.02))
         .with("router.probe", FaultSpec::reset(0.10))
