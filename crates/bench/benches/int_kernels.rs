@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks of the raw-integer inference kernels —
 //! the deployment-datapath counterparts of the f32 kernels in
 //! `benches/kernels.rs`, at the same problem sizes so the two reports
-//! read side by side: integer convolution, the capsule-vote GEMM, and
-//! the shift-based requantization epilogue per rounding scheme.
+//! read side by side: integer convolution and the batch-major
+//! capsule-vote GEMM on both accumulator widths, and the shift-based
+//! requantization epilogue per rounding scheme.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qcn_fixed::{QFormat, Quantizer, RoundingScheme};
 use qcn_intinfer::epilogue::KeyedRequant;
-use qcn_intinfer::kernels::{caps_votes_raw, conv2d_raw};
+use qcn_intinfer::kernels::{caps_votes, conv2d, AccWidth, LinearWeights};
 use qcn_intinfer::IntTensor;
 use qcn_tensor::conv::Conv2dSpec;
 use std::hint::black_box;
@@ -24,56 +25,60 @@ fn raw_values(n: usize, frac: u8, seed: i64) -> Vec<i64> {
 fn bench_int_conv2d(c: &mut Criterion) {
     // Same geometry as "conv2d 8x16x16x16 -> 32ch 3x3" in kernels.rs.
     let x = IntTensor::from_raw(raw_values(8 * 16 * 16 * 16, 5, 1), vec![8, 16, 16, 16], 5);
-    let weight = raw_values(32 * 16 * 3 * 3, 5, 2);
-    let bias = raw_values(32, 5, 3);
+    let weights = LinearWeights::conv(
+        &raw_values(32 * 16 * 3 * 3, 5, 2),
+        Some(&raw_values(32, 5, 3)),
+        32,
+    );
     let spec = Conv2dSpec::new(3, 3, 1, 1);
     let acc = x.frac() + 5;
-    c.bench_function("int conv2d 8x16x16x16 -> 32ch 3x3 (no epilogue)", |b| {
-        b.iter(|| {
-            conv2d_raw(
-                black_box(&x),
-                black_box(&weight),
-                Some(&bias),
-                32,
-                spec,
-                acc,
-                None,
-            )
-        })
-    });
     let rq = KeyedRequant::new(
         acc,
         Quantizer::new(QFormat::with_frac(5), RoundingScheme::RoundToNearest).fused(0xBEEF),
     );
     let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
-    c.bench_function("int conv2d 8x16x16x16 -> 32ch 3x3 (fused requant)", |b| {
-        b.iter(|| {
-            conv2d_raw(
-                black_box(&x),
-                black_box(&weight),
-                Some(&bias),
-                32,
-                spec,
-                5,
-                Some(&epi),
-            )
-        })
-    });
+    let mut out = vec![0i64; 8 * 32 * 16 * 16];
+    for width in [AccWidth::I32, AccWidth::I64] {
+        c.bench_function(
+            &format!("int conv2d 8x16x16x16 -> 32ch 3x3 ({width:?}, no epilogue)"),
+            |b| b.iter(|| conv2d(black_box(&x), 0, &weights, 32, spec, width, &mut out, None)),
+        );
+        c.bench_function(
+            &format!("int conv2d 8x16x16x16 -> 32ch 3x3 ({width:?}, fused requant)"),
+            |b| {
+                b.iter(|| {
+                    conv2d(
+                        black_box(&x),
+                        0,
+                        &weights,
+                        32,
+                        spec,
+                        width,
+                        &mut out,
+                        Some(&epi),
+                    )
+                })
+            },
+        );
+    }
 }
 
 fn bench_int_caps_votes(c: &mut Criterion) {
     // Same geometry as "caps_votes 16x128x4 -> 10x8" in kernels.rs.
     let input = IntTensor::from_raw(raw_values(16 * 128 * 4, 5, 4), vec![16, 128, 4], 5);
-    let weight = raw_values(128 * 10 * 4 * 8, 5, 5);
+    let weights = LinearWeights::votes(&raw_values(128 * 10 * 4 * 8, 5, 5), 128, 10, 4, 8);
     let acc = input.frac() + 5;
     let rq = KeyedRequant::new(
         acc,
         Quantizer::new(QFormat::with_frac(4), RoundingScheme::RoundToNearest).fused(0xBEEF),
     );
-    let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
-    c.bench_function("int caps_votes 16x128x4 -> 10x8 (fused requant)", |b| {
-        b.iter(|| caps_votes_raw(black_box(&input), black_box(&weight), 10, 8, 4, &epi))
-    });
+    let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
+    for width in [AccWidth::I32, AccWidth::I64] {
+        c.bench_function(
+            &format!("int caps_votes 16x128x4 -> 10x8 ({width:?}, fused requant)"),
+            |b| b.iter(|| caps_votes(black_box(&input), &weights, 10, 8, width, 4, &epi)),
+        );
+    }
 }
 
 fn bench_shift_requant(c: &mut Criterion) {

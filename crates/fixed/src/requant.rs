@@ -86,10 +86,39 @@ pub fn requant_slice_with(
     out: QFormat,
     mut draw: impl FnMut(usize) -> f64,
 ) {
+    let shift = in_frac as i32 - out.frac_bits() as i32;
+    let (lo, hi) = (out.min_raw(), out.max_raw());
     match scheme {
         RoundingScheme::Stochastic => {
             for (i, v) in values.iter_mut().enumerate() {
                 *v = requant_raw(scheme, *v, in_frac, out, draw(i));
+            }
+        }
+        // A narrowing shift of an `i64` cannot overflow `i64`: the
+        // deterministic schemes run [`requant_raw`]'s arithmetic without
+        // its `i128` widening, one scheme-specific loop each.
+        _ if (1..63).contains(&shift) => {
+            let s = shift as u32;
+            let half = 1i64 << (s - 1);
+            let mask = (1i64 << s) - 1;
+            match scheme {
+                RoundingScheme::Truncation => {
+                    for v in values.iter_mut() {
+                        *v = (*v >> s).clamp(lo, hi);
+                    }
+                }
+                RoundingScheme::RoundToNearest => {
+                    for v in values.iter_mut() {
+                        *v = ((*v >> s) + i64::from(*v & mask >= half)).clamp(lo, hi);
+                    }
+                }
+                _ => {
+                    for v in values.iter_mut() {
+                        let (floor, rem) = (*v >> s, *v & mask);
+                        let bump = rem > half || (rem == half && floor & 1 == 1);
+                        *v = (floor + i64::from(bump)).clamp(lo, hi);
+                    }
+                }
             }
         }
         _ => {
@@ -113,6 +142,41 @@ mod tests {
         let scaled = rounded as f64 / out.precision() as f64;
         assert_eq!(scaled, scaled.trunc(), "reference output off-grid");
         scaled as i64
+    }
+
+    #[test]
+    fn slice_path_matches_requant_raw() {
+        // The slice fast path (deterministic schemes, narrowing shifts)
+        // must give `requant_raw`'s bits: every sign, remainder, clamp,
+        // widening and the extreme shifts.
+        let raws: Vec<i64> = (-70_000i64..70_000)
+            .step_by(7)
+            .chain([i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX])
+            .collect();
+        for (in_frac, out_frac) in [
+            (10u8, 5u8),
+            (9, 4),
+            (8, 7),
+            (62, 0),
+            (30, 29),
+            (4, 9),
+            (6, 6),
+        ] {
+            let out = QFormat::new(62 - out_frac, out_frac);
+            for out in [QFormat::with_frac(out_frac), out] {
+                for scheme in RoundingScheme::EXTENDED {
+                    if scheme == RoundingScheme::Stochastic {
+                        continue;
+                    }
+                    let mut got = raws.clone();
+                    requant_slice_with(scheme, &mut got, in_frac, out, |_| 0.0);
+                    for (&raw, &g) in raws.iter().zip(&got) {
+                        let want = requant_raw(scheme, raw, in_frac, out, 0.0);
+                        assert_eq!(g, want, "{scheme} raw={raw} {in_frac}->{out}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

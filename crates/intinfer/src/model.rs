@@ -2,7 +2,7 @@
 //! full forward pass.
 
 use crate::epilogue::KeyedRequant;
-use crate::kernels::{caps_votes_raw, conv2d_raw};
+use crate::kernels::{caps_votes, conv2d, raw_range, AccWidth, LinearWeights};
 use crate::routing::{route_per_sample_raw, RoutingSpec};
 use crate::tensor::{flatten_caps_raw, raw_to_f32, IntTensor};
 use crate::units::{squash_blocks_requant, UnitMode};
@@ -10,7 +10,9 @@ use qcapsnets::export::{unpack_raw_weights, PackedModel};
 use qcn_capsnet::descriptor::{BlockDesc, GroupDesc, LayerDesc, ModelDesc};
 use qcn_capsnet::layers::Activation;
 use qcn_capsnet::{argmax_caps, ModelQuant, QuantCtx};
-use qcn_tensor::Tensor;
+use qcn_fixed::QFormat;
+use qcn_tensor::conv::Conv2dSpec;
+use qcn_tensor::{RowEpilogue, Tensor};
 use std::fmt;
 
 /// Why a [`PackedModel`] could not be loaded into the integer engine.
@@ -148,14 +150,80 @@ struct GroupBits {
     stream: Option<u8>,
 }
 
-/// One executable group: structure, widths, and raw parameter blobs split
-/// per tensor in registration order.
+/// One linear kernel's weights and its accumulator proof.
+#[derive(Debug, Clone)]
+struct LinearOp {
+    weights: LinearWeights,
+    /// The width proved at load from the input's storage format, or `None`
+    /// for a layer reading the model input — on-grid but not clamped, so
+    /// its width is proved per batch from the observed range.
+    width: Option<AccWidth>,
+}
+
+impl LinearOp {
+    /// Proves the op's width at load: an input stored at `x_frac` is
+    /// clamped into `Q1.x_frac`, which bounds it; `None` is the model input.
+    fn new(weights: LinearWeights, x_frac: Option<u8>) -> Self {
+        let width = x_frac.map(|f| {
+            let q = QFormat::with_frac(f);
+            weights.acc_width(q.min_raw(), q.max_raw(), f)
+        });
+        LinearOp { weights, width }
+    }
+
+    /// The width for input `x`: the load-time proof, or the observed
+    /// range's for the model input. A batch that breaks the narrow proof
+    /// takes the `i64` path.
+    fn width_for(&self, x: &IntTensor) -> AccWidth {
+        self.width.unwrap_or_else(|| {
+            let (lo, hi) = raw_range(x.data());
+            self.weights.acc_width(lo, hi, x.frac())
+        })
+    }
+}
+
+/// Builds one primitive layer's linear ops from its slice of the group's
+/// raw blob (registration order): one op per kernel call —
+/// ConvCapsRouting runs one convolution per input type.
+fn layer_ops(layer: &LayerDesc, raw: &[i64], x_frac: Option<u8>) -> Vec<LinearOp> {
+    let conv = |co: usize| {
+        let (w, b) = raw.split_at(raw.len() - co);
+        vec![LinearOp::new(LinearWeights::conv(w, Some(b), co), x_frac)]
+    };
+    match *layer {
+        LayerDesc::Conv2d { out_channels, .. } => conv(out_channels),
+        LayerDesc::PrimaryCaps { types, dim, .. } | LayerDesc::ConvCaps { types, dim, .. } => {
+            conv(types * dim)
+        }
+        LayerDesc::ConvCapsRouting {
+            in_types,
+            out_types,
+            out_dim,
+            ..
+        } => raw
+            .chunks((raw.len() / in_types.max(1)).max(1))
+            .map(|w| LinearOp::new(LinearWeights::conv(w, None, out_types * out_dim), x_frac))
+            .collect(),
+        LayerDesc::CapsFc {
+            in_caps,
+            in_dim,
+            out_caps,
+            out_dim,
+            ..
+        } => vec![LinearOp::new(
+            LinearWeights::votes(raw, in_caps, out_caps, in_dim, out_dim),
+            x_frac,
+        )],
+    }
+}
+
+/// One executable group: structure, widths, and the linear ops of each
+/// primitive layer (one layer, or a block's main1, main2 and skip).
 #[derive(Debug, Clone)]
 struct LoadedGroup {
-    name: String,
     desc: GroupDesc,
     bits: GroupBits,
-    params: Vec<Vec<i64>>,
+    layers: Vec<Vec<LinearOp>>,
 }
 
 /// A packed model loaded into directly executable integer form.
@@ -185,6 +253,8 @@ struct LoadedGroup {
 pub struct IntModel {
     name: String,
     num_classes: usize,
+    /// Group names, in execution order (the stage span labels).
+    stage_names: Vec<String>,
     groups: Vec<LoadedGroup>,
     config: ModelQuant,
 }
@@ -276,6 +346,9 @@ impl IntModel {
         }
         let raws = unpack_raw_weights(packed);
         let mut groups = Vec::with_capacity(desc.groups.len());
+        // Fractional width of the current group input: `None` for the
+        // model input, then each group's stored activation width.
+        let mut x_frac = None;
         for (((name, gdesc), lq), raw) in desc.groups.iter().zip(&packed.config.layers).zip(raws) {
             let weight = lq
                 .weight_frac
@@ -285,24 +358,33 @@ impl IntModel {
                 field: "act_frac",
             })?;
             let stream = lq.stream_frac;
-            if matches!(gdesc, GroupDesc::Block(_)) && stream.is_none() {
-                return Err(LoadError::MissingWidth {
-                    group: name.clone(),
-                    field: "stream_frac",
-                });
-            }
             let flat = raw.expect("weight_frac set implies raw form");
-            // Split the flat blob into per-parameter tensors in
-            // registration order.
-            let mut params = Vec::new();
-            let mut offset = 0usize;
-            for shape in gdesc.param_shapes() {
-                let len: usize = shape.iter().product();
-                params.push(flat[offset..offset + len].to_vec());
-                offset += len;
-            }
+            let weights_of = |layer: &LayerDesc, at: usize| {
+                let len = layer
+                    .param_shapes()
+                    .iter()
+                    .map(|s| s.iter().product::<usize>())
+                    .sum::<usize>();
+                (&flat[at..at + len], at + len)
+            };
+            let layers = match gdesc {
+                GroupDesc::Layer(layer) => vec![layer_ops(layer, &flat, x_frac)],
+                GroupDesc::Block(block) => {
+                    let stream = stream.ok_or(LoadError::MissingWidth {
+                        group: name.clone(),
+                        field: "stream_frac",
+                    })?;
+                    let (main1, at) = weights_of(&block.main1, 0);
+                    let (main2, at) = weights_of(&block.main2, at);
+                    let (skip, _) = weights_of(&block.skip, at);
+                    vec![
+                        layer_ops(&block.main1, main1, x_frac),
+                        layer_ops(&block.main2, main2, Some(stream)),
+                        layer_ops(&block.skip, skip, x_frac),
+                    ]
+                }
+            };
             groups.push(LoadedGroup {
-                name: name.clone(),
                 desc: gdesc.clone(),
                 bits: GroupBits {
                     weight,
@@ -310,12 +392,14 @@ impl IntModel {
                     dr: lq.dr_frac,
                     stream,
                 },
-                params,
+                layers,
             });
+            x_frac = Some(act);
         }
         Ok(IntModel {
             name: desc.name.clone(),
             num_classes: desc.num_classes,
+            stage_names: desc.groups.iter().map(|(name, _)| name.clone()).collect(),
             groups,
             config: packed.config.clone(),
         })
@@ -338,7 +422,29 @@ impl IntModel {
 
     /// Group names, in execution order.
     pub fn group_names(&self) -> Vec<&str> {
-        self.groups.iter().map(|g| g.name.as_str()).collect()
+        self.stage_names.iter().map(String::as_str).collect()
+    }
+
+    /// The accumulator widths proved at load, per group, one entry per
+    /// linear kernel in execution order (a block lists main1, main2 and
+    /// skip; ConvCapsRouting one convolution per input type). `None` marks
+    /// a kernel reading the model input, whose width is proved per batch
+    /// from the observed input range.
+    pub fn accumulator_widths(&self) -> Vec<Vec<Option<AccWidth>>> {
+        self.groups
+            .iter()
+            .map(|g| g.layers.iter().flatten().map(|op| op.width).collect())
+            .collect()
+    }
+
+    /// Bytes the loaded weights occupy: each layer keeps one copy, at its
+    /// narrowest exact word (two bytes for wordlengths up to 16 bits).
+    pub fn weight_bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .flat_map(|g| g.layers.iter().flatten())
+            .map(|op| op.weights.bytes())
+            .sum()
     }
 
     /// Runs the integer forward pass on a batch `[b, c, h, w]` whose
@@ -368,14 +474,10 @@ impl IntModel {
     /// `engine="integer"`, mirroring the fake-quant engine's stage spans.
     /// Timing only reads the clock; the integer datapath is untouched.
     pub fn infer_raw(&self, mut cur: IntTensor, mode: UnitMode) -> IntTensor {
-        let names: Option<Vec<String>> = if qcn_telemetry::timing_enabled() {
-            Some(self.groups.iter().map(|g| g.name.clone()).collect())
-        } else {
-            None
-        };
+        let names = qcn_telemetry::timing_enabled().then_some(self.stage_names.as_slice());
         let mut ctx = QuantCtx::from_config(&self.config);
         for (s, group) in self.groups.iter().enumerate() {
-            let _t = qcn_capsnet::stage_span("integer", &self.name, names.as_deref(), s);
+            let _t = qcn_capsnet::stage_span("integer", &self.name, names, s);
             let frac = cur.frac();
             ctx.enter_stage(s, cur.data(), cur.dims()[0], |r| raw_to_f32(r, frac));
             match &group.desc {
@@ -389,7 +491,7 @@ impl IntModel {
                     let dr = bits.dr.unwrap_or(bits.act);
                     cur = run_layer(
                         layer,
-                        &group.params,
+                        &group.layers[0],
                         bits.weight,
                         bits.act,
                         dr,
@@ -399,7 +501,7 @@ impl IntModel {
                     );
                 }
                 GroupDesc::Block(block) => {
-                    cur = run_block(block, &group.bits, &group.params, cur, mode, &mut ctx);
+                    cur = run_block(block, &group.bits, &group.layers, cur, mode, &mut ctx);
                 }
             }
         }
@@ -416,16 +518,17 @@ impl IntModel {
     }
 }
 
-/// Executes one primitive layer. `out_frac` is the width its output is
-/// stored at (`Qa` for standalone layers, the streaming width inside
-/// DeepCaps blocks); `dr` the routing width where applicable. Rounding
-/// points are claimed in the reference layers' site order — conv/ConvCaps
-/// bind their epilogue before the kernel, ConvCapsRouting binds one per
-/// input type inside its loop, routing claims one nested point.
+/// Executes one primitive layer on its linear `ops`. `out_frac` is the
+/// width its output is stored at (`Qa` for standalone layers, the
+/// streaming width inside DeepCaps blocks); `dr` the routing width where
+/// applicable. Rounding points are claimed in the reference layers' site
+/// order — conv/ConvCaps bind their epilogue before the kernel,
+/// ConvCapsRouting binds one per input type inside its loop, routing
+/// claims one nested point.
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     layer: &LayerDesc,
-    params: &[Vec<i64>],
+    ops: &[LinearOp],
     w_frac: u8,
     out_frac: u8,
     dr: u8,
@@ -433,6 +536,24 @@ fn run_layer(
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
+    let acc = x.frac() + w_frac;
+    // A convolution of `x`'s channels from `c0` by `op` into a fresh
+    // `[b, co, oh, ow]` tensor at `frac`.
+    let conv = |op: &LinearOp, co: usize, spec, frac, epi: Option<RowEpilogue<'_, i64>>| {
+        let (oh, ow) = Conv2dSpec::output_hw(&spec, x.dims()[2], x.dims()[3]);
+        let mut y = IntTensor::zeros(vec![x.dims()[0], co, oh, ow], frac);
+        conv2d(
+            &x,
+            0,
+            &op.weights,
+            co,
+            spec,
+            op.width_for(&x),
+            y.data_mut(),
+            epi,
+        );
+        y
+    };
     match layer {
         LayerDesc::Conv2d {
             out_channels,
@@ -440,7 +561,6 @@ fn run_layer(
             activation,
             ..
         } => {
-            let acc = x.frac() + w_frac;
             let (oh, ow) = spec.output_hw(x.dims()[2], x.dims()[3]);
             let len = x.dims()[0] * out_channels * oh * ow;
             let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
@@ -454,31 +574,14 @@ fn run_layer(
                 }
                 rq.apply_raw(off, row);
             };
-            conv2d_raw(
-                &x,
-                &params[0],
-                Some(&params[1]),
-                *out_channels,
-                *spec,
-                out_frac,
-                Some(&epi),
-            )
+            conv(&ops[0], *out_channels, *spec, out_frac, Some(&epi))
         }
         LayerDesc::PrimaryCaps {
             types, dim, spec, ..
         } => {
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
             let (oh, ow) = spec.output_hw(h, w);
-            let acc = x.frac() + w_frac;
-            let y = conv2d_raw(
-                &x,
-                &params[0],
-                Some(&params[1]),
-                types * dim,
-                *spec,
-                acc,
-                None,
-            );
+            let y = conv(&ops[0], types * dim, *spec, acc, None);
             let mut caps = y
                 .reshape(vec![b, *types, *dim, oh * ow])
                 .permute(&[0, 1, 3, 2])
@@ -497,31 +600,14 @@ fn run_layer(
         } => {
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
             let (oh, ow) = spec.output_hw(h, w);
-            let acc = x.frac() + w_frac;
             // The reference binds the epilogue before branching on squash.
             let len = b * types * dim * oh * ow;
             let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
             if !squash {
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
-                return conv2d_raw(
-                    &x,
-                    &params[0],
-                    Some(&params[1]),
-                    types * dim,
-                    *spec,
-                    out_frac,
-                    Some(&epi),
-                );
+                return conv(&ops[0], types * dim, *spec, out_frac, Some(&epi));
             }
-            let y = conv2d_raw(
-                &x,
-                &params[0],
-                Some(&params[1]),
-                types * dim,
-                *spec,
-                acc,
-                None,
-            );
+            let y = conv(&ops[0], types * dim, *spec, acc, None);
             let mut grouped = y.reshape(vec![b, *types, *dim, oh * ow]);
             squash_blocks_requant(mode, grouped.data_mut(), acc, *dim, oh * ow, &rq);
             grouped.set_frac(out_frac);
@@ -538,24 +624,29 @@ fn run_layer(
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
             let (oh, ow) = spec.output_hw(h, w);
             let s_spatial = oh * ow;
-            let acc = x.frac() + w_frac;
             let out_ch = out_types * out_dim;
-            let per_type = out_ch * in_dim * spec.kh * spec.kw;
+            // Capsule-major votes `[ti, b, to, dd, s]`: type `ti`'s
+            // convolution writes its `[b, out_ch, s]` slot directly.
             let mut votes =
-                IntTensor::zeros(vec![b, *in_types, *out_types, *out_dim, s_spatial], dr);
-            for ti in 0..*in_types {
+                IntTensor::zeros(vec![*in_types, b, *out_types, *out_dim, s_spatial], dr);
+            let slot = b * out_ch * s_spatial;
+            for (ti, op) in ops.iter().enumerate() {
                 // One rounding point per input type, claimed inside the
                 // loop — same order as the reference's per-type fused conv.
-                let rq = KeyedRequant::bind(ctx, acc, dr, b * out_ch * s_spatial);
+                let rq = KeyedRequant::bind(ctx, acc, dr, slot);
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
-                let x_t = x.slice_channels(ti * in_dim, *in_dim);
-                let w_t = &params[0][ti * per_type..(ti + 1) * per_type];
-                let v_t = conv2d_raw(&x_t, w_t, None, out_ch, *spec, dr, Some(&epi));
-                for bi in 0..b {
-                    let src = &v_t.data()[bi * out_ch * s_spatial..(bi + 1) * out_ch * s_spatial];
-                    let dst = (bi * in_types + ti) * out_ch * s_spatial;
-                    votes.data_mut()[dst..dst + src.len()].copy_from_slice(src);
-                }
+                let v_t = &mut votes.data_mut()[ti * slot..(ti + 1) * slot];
+                let width = op.width_for(&x);
+                conv2d(
+                    &x,
+                    ti * in_dim,
+                    &op.weights,
+                    out_ch,
+                    *spec,
+                    width,
+                    v_t,
+                    Some(&epi),
+                );
             }
             let routed = route_per_sample_raw(
                 &votes,
@@ -581,12 +672,20 @@ fn run_layer(
             ..
         } => {
             let b = x.dims()[0];
-            let acc = x.frac() + w_frac;
             let len = b * in_caps * out_caps * out_dim;
             let rq = KeyedRequant::bind(ctx, acc, dr, len);
-            let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
-            let votes = caps_votes_raw(&x, &params[0], *out_caps, *out_dim, dr, &epi)
-                .reshape(vec![b, *in_caps, *out_caps, *out_dim, 1]);
+            let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
+            let op = &ops[0];
+            let votes = caps_votes(
+                &x,
+                &op.weights,
+                *out_caps,
+                *out_dim,
+                op.width_for(&x),
+                dr,
+                &epi,
+            )
+            .reshape(vec![*in_caps, b, *out_caps, *out_dim, 1]);
             let routed = route_per_sample_raw(
                 &votes,
                 RoutingSpec {
@@ -611,10 +710,11 @@ fn run_layer(
 /// exact integer addition on that shared grid; the block-output squash
 /// requantizes to `Qa` through a keyed epilogue — all in the reference's
 /// call order, so every site claims the reference's rounding point.
+/// `layers` holds the linear ops of main1, main2 and skip.
 fn run_block(
     block: &BlockDesc,
     bits: &GroupBits,
-    params: &[Vec<i64>],
+    layers: &[Vec<LinearOp>],
     x: IntTensor,
     mode: UnitMode,
     ctx: &mut QuantCtx,
@@ -623,36 +723,19 @@ fn run_block(
     // Inside a block the routing skip falls back to the streaming width,
     // mirroring the reference's inner LayerQuant (act = stream_frac).
     let dr = bits.dr.unwrap_or(stream);
+    let w = bits.weight;
     let m1 = run_layer(
         &block.main1,
-        &params[0..2],
-        bits.weight,
+        &layers[0],
+        w,
         stream,
         dr,
         x.clone(),
         mode,
         ctx,
     );
-    let m2 = run_layer(
-        &block.main2,
-        &params[2..4],
-        bits.weight,
-        stream,
-        dr,
-        m1,
-        mode,
-        ctx,
-    );
-    let skip = run_layer(
-        &block.skip,
-        &params[4..],
-        bits.weight,
-        stream,
-        dr,
-        x,
-        mode,
-        ctx,
-    );
+    let m2 = run_layer(&block.main2, &layers[1], w, stream, dr, m1, mode, ctx);
+    let skip = run_layer(&block.skip, &layers[2], w, stream, dr, x, mode, ctx);
     assert_eq!(m2.dims(), skip.dims(), "block branch shapes diverge");
     let (b, h, w) = (m2.dims()[0], m2.dims()[2], m2.dims()[3]);
     let mut sum = m2;

@@ -171,7 +171,9 @@ impl IntTensor {
     }
 
     /// Materializes a permutation of the axes (same semantics as
-    /// [`Tensor::permute`]).
+    /// [`Tensor::permute`]). A swap of the last two axes — the capsule
+    /// layouts' `[.., dim, h·w] ↔ [.., h·w, dim]` — runs as a plain
+    /// per-block transpose.
     ///
     /// # Panics
     ///
@@ -179,6 +181,25 @@ impl IntTensor {
     pub fn permute(&self, perm: &[usize]) -> Self {
         assert_eq!(perm.len(), self.dims.len(), "permutation rank mismatch");
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims[p]).collect();
+        let r = perm.len();
+        let swaps_last_two = r >= 2
+            && perm[r - 2] == r - 1
+            && perm[r - 1] == r - 2
+            && perm[..r - 2].iter().enumerate().all(|(i, &p)| i == p);
+        if swaps_last_two && !self.data.is_empty() {
+            let (rows, cols) = (self.dims[r - 2], self.dims[r - 1]);
+            let mut out = Vec::with_capacity(self.data.len());
+            for blk in self.data.chunks_exact(rows * cols) {
+                for j in 0..cols {
+                    out.extend(blk.iter().skip(j).step_by(cols));
+                }
+            }
+            return IntTensor {
+                data: out,
+                dims: out_dims,
+                frac: self.frac,
+            };
+        }
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -200,29 +221,6 @@ impl IntTensor {
         IntTensor {
             data: out,
             dims: out_dims,
-            frac: self.frac,
-        }
-    }
-
-    /// Copies a channel slice `[b, start..start+len, h, w]` of a rank-4
-    /// tensor (axis-1 slicing, as the per-type vote convolutions need).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tensor is not rank 4 or the range is out of bounds.
-    pub fn slice_channels(&self, start: usize, len: usize) -> Self {
-        assert_eq!(self.rank(), 4, "channel slice needs [b, c, h, w]");
-        let (b, c, h, w) = (self.dims[0], self.dims[1], self.dims[2], self.dims[3]);
-        assert!(start + len <= c, "channel slice out of range");
-        let plane = h * w;
-        let mut data = Vec::with_capacity(b * len * plane);
-        for bi in 0..b {
-            let base = (bi * c + start) * plane;
-            data.extend_from_slice(&self.data[base..base + len * plane]);
-        }
-        IntTensor {
-            data,
-            dims: vec![b, len, h, w],
             frac: self.frac,
         }
     }
@@ -281,6 +279,17 @@ mod tests {
     }
 
     #[test]
+    fn last_two_axes_swap_matches_tensor_permute() {
+        let raw: Vec<i64> = (0..2 * 3 * 4 * 5).collect();
+        let t = IntTensor::from_raw(raw.clone(), vec![2, 3, 4, 5], 0);
+        let f = Tensor::from_vec(raw.iter().map(|&r| r as f32).collect(), [2, 3, 4, 5]).unwrap();
+        let pt = t.permute(&[0, 1, 3, 2]);
+        assert_eq!(pt.dims(), &[2, 3, 5, 4]);
+        let got: Vec<f32> = pt.data().iter().map(|&r| r as f32).collect();
+        assert_eq!(got, f.permute(&[0, 1, 3, 2]).data());
+    }
+
+    #[test]
     fn flatten_caps_matches_reference_layout() {
         let raw: Vec<i64> = (0..16).collect();
         let t = IntTensor::from_raw(raw.clone(), vec![1, 4, 2, 2], 0);
@@ -290,14 +299,5 @@ mod tests {
         assert_eq!(got.dims(), want.dims());
         let gotf: Vec<f32> = got.data().iter().map(|&r| r as f32).collect();
         assert_eq!(gotf, want.data());
-    }
-
-    #[test]
-    fn slice_channels_copies_per_batch() {
-        let t = IntTensor::from_raw((0..24).collect(), vec![2, 3, 2, 2], 1);
-        let s = t.slice_channels(1, 2);
-        assert_eq!(s.dims(), &[2, 2, 2, 2]);
-        assert_eq!(&s.data()[..4], &[4, 5, 6, 7]);
-        assert_eq!(&s.data()[8..12], &[16, 17, 18, 19]);
     }
 }

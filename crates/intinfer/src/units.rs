@@ -115,30 +115,18 @@ pub(crate) fn softmax_over_types(
     match mode {
         UnitMode::FloatExact => {
             let mut buf: Vec<f32> = logits.iter().map(|&r| raw_to_f32(r, dr)).collect();
-            let mut mx = vec![0.0f32; s];
-            let mut sum = vec![0.0f32; s];
-            for i in 0..ti {
-                let lane = &mut buf[i * to * s..(i + 1) * to * s];
-                mx.iter_mut().for_each(|v| *v = f32::NEG_INFINITY);
-                for j in 0..to {
-                    for sp in 0..s {
-                        mx[sp] = mx[sp].max(lane[j * s + sp]);
+            // One `(i, sp)` column of `to` logits at a time, its max and
+            // sum held in registers.
+            for lane in buf.chunks_exact_mut(to * s) {
+                for sp in 0..s {
+                    let col = || (sp..to * s).step_by(s);
+                    let mx = col().fold(f32::NEG_INFINITY, |m, t| m.max(lane[t]));
+                    for t in col() {
+                        lane[t] = (lane[t] - mx).exp();
                     }
-                }
-                for j in 0..to {
-                    for sp in 0..s {
-                        lane[j * s + sp] = (lane[j * s + sp] - mx[sp]).exp();
-                    }
-                }
-                sum.iter_mut().for_each(|v| *v = 0.0);
-                for j in 0..to {
-                    for sp in 0..s {
-                        sum[sp] += lane[j * s + sp];
-                    }
-                }
-                for j in 0..to {
-                    for sp in 0..s {
-                        lane[j * s + sp] /= sum[sp];
+                    let sum = col().fold(0.0f32, |a, t| a + lane[t]);
+                    for t in col() {
+                        lane[t] /= sum;
                     }
                 }
             }

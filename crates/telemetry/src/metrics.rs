@@ -185,13 +185,15 @@ impl Histogram {
 /// The quantiles every [`Summary`] reports.
 const SUMMARY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
-/// Default number of most-recent samples a [`Summary`] retains.
-pub const DEFAULT_SUMMARY_WINDOW: usize = 1 << 20;
+/// Default number of most-recent samples a [`Summary`] retains: 2^14, so
+/// p99 still rests on over 160 samples beyond it, the ring costs 128 KiB,
+/// and a scrape copies at most that much.
+pub const DEFAULT_SUMMARY_WINDOW: usize = 1 << 14;
 
-/// A windowed summary: **exact** nearest-rank p50/p95/p99 over a bounded
-/// ring of the most recent samples ([`SampleWindow`]), so a long-running
-/// component's quantiles always describe current traffic while memory
-/// stays bounded.
+/// A windowed summary: **exact** nearest-rank p50/p95/p99 over a fixed
+/// ring of the most recent samples ([`SampleWindow`], allocated in full
+/// when the summary is registered), so a long-running component's
+/// quantiles always describe current traffic while memory stays flat.
 ///
 /// Reading copies the window under its lock and sorts the copy after
 /// releasing it, so a scrape never holds up the observers.
@@ -719,6 +721,25 @@ mod tests {
             reg.snapshot()[0].value,
             MetricValue::Summary(vec![(0.5, 8), (0.95, 900), (0.99, 900)])
         );
+    }
+
+    #[test]
+    fn summary_memory_stays_flat_under_traffic() {
+        let window = 1000;
+        let s = Registry::new().summary("flat_us", &[], "recent latency", window);
+        for v in 0..10 * window as u64 {
+            s.observe(v);
+        }
+        let ring = s.0.lock().unwrap();
+        assert_eq!(
+            ring.capacity(),
+            window,
+            "the ring never grows past its window"
+        );
+        assert_eq!(ring.len(), window);
+        drop(ring);
+        // Quantiles over the newest 1000 samples, 9000..10000.
+        assert_eq!(s.quantiles(), [9499, 9949, 9989]);
     }
 
     #[test]

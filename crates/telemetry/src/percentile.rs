@@ -6,8 +6,6 @@
 //! the definition (nearest-rank: the smallest sample whose rank is at
 //! least `⌈q·n⌉`).
 
-use std::collections::VecDeque;
-
 /// Nearest-rank percentile of an ascending-sorted slice: the element at
 /// rank `⌈q·n⌉` (1-based), clamped into the slice. Returns 0 for an empty
 /// slice — callers render "no data yet" as zero.
@@ -23,12 +21,20 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 /// percentiles: a long-running server's p50/p95/p99 describe current
 /// traffic, never startup traffic, and memory stays bounded.
 ///
+/// The ring is allocated once, at its full capacity, when the window is
+/// created; recording a sample never allocates, so the window's memory
+/// does not grow with traffic.
+///
 /// Not internally synchronized — wrap in a `Mutex` when shared (the
 /// registry's [`Summary`](crate::Summary) does).
 #[derive(Debug, Clone)]
 pub struct SampleWindow {
-    samples: VecDeque<u64>,
-    capacity: usize,
+    /// The ring; `samples[next]` is the oldest sample once the ring is full.
+    samples: Vec<u64>,
+    /// Slot the next sample overwrites.
+    next: usize,
+    /// Whether every slot holds a sample.
+    full: bool,
 }
 
 impl SampleWindow {
@@ -40,32 +46,49 @@ impl SampleWindow {
     pub fn new(capacity: usize) -> SampleWindow {
         assert!(capacity >= 1, "sample window must hold a sample");
         SampleWindow {
-            samples: VecDeque::new(),
-            capacity,
+            samples: vec![0; capacity],
+            next: 0,
+            full: false,
         }
     }
 
     /// Records one sample, displacing the oldest once full.
     pub fn push(&mut self, sample: u64) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
+        self.samples[self.next] = sample;
+        self.next += 1;
+        if self.next == self.samples.len() {
+            self.next = 0;
+            self.full = true;
         }
-        self.samples.push_back(sample);
     }
 
     /// Samples currently retained.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        if self.full {
+            self.samples.len()
+        } else {
+            self.next
+        }
     }
 
     /// Whether no samples were recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
+    }
+
+    /// Slots the backing ring holds — fixed at the requested capacity.
+    pub fn capacity(&self) -> usize {
+        self.samples.capacity()
     }
 
     /// The retained window, oldest first (allocates a copy).
     pub fn to_vec(&self) -> Vec<u64> {
-        self.samples.iter().copied().collect()
+        if self.full {
+            let (newer, older) = self.samples.split_at(self.next);
+            [older, newer].concat()
+        } else {
+            self.samples[..self.next].to_vec()
+        }
     }
 
     /// The retained window, ascending-sorted (allocates a copy).
@@ -114,6 +137,26 @@ mod tests {
         // Window is now [900, 900, 7, 8] → sorted [7, 8, 900, 900].
         assert_eq!(w.len(), 4);
         assert_eq!(w.percentiles([0.50, 0.99]), [8, 900]);
+    }
+
+    #[test]
+    fn ring_is_allocated_once_and_keeps_the_newest_samples() {
+        let window = 64;
+        let mut w = SampleWindow::new(window);
+        assert_eq!(w.capacity(), window);
+        assert!(w.is_empty());
+        for s in 0..10 * window as u64 {
+            w.push(s);
+            assert_eq!(w.capacity(), window, "the ring never grows");
+        }
+        assert_eq!(w.len(), window);
+        // The newest `window` samples, oldest first.
+        let newest: Vec<u64> = (9 * window as u64..10 * window as u64).collect();
+        assert_eq!(w.to_vec(), newest);
+        assert_eq!(
+            w.percentiles([0.0, 0.50, 1.0]),
+            [newest[0], newest[window / 2 - 1], newest[window - 1]]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! kernel — so every result is bit-identical for every thread count.
 
 use crate::linalg::{gemm, gemm_serial_with, pack_matrix_panel, panel_scratch, transpose_block};
-use crate::{parallel, RowEpilogue, Tensor};
+use crate::{parallel, GemmElem, RowEpilogue, Tensor};
 
 /// Static description of a 2-D convolution (kernel geometry and padding).
 ///
@@ -313,9 +313,9 @@ fn pack_rows(c: usize, h: usize, w: usize, oh: usize, ow: usize, spec: Conv2dSpe
 /// padding positions read as zero — without materializing the matrix.
 /// `meta` is the [`pack_rows`] table; the loop body is divisions-free.
 #[allow(clippy::too_many_arguments)]
-fn pack_input_panel(
-    in_batch: &[f32],
-    bpack: &mut [f32],
+fn pack_input_panel<E: GemmElem>(
+    in_batch: &[E],
+    bpack: &mut [E],
     meta: &[PackRow],
     l0: usize,
     l1: usize,
@@ -332,7 +332,7 @@ fn pack_input_panel(
     // Output rows `oi` whose pixel range intersects columns [j, col_end).
     let (oi_first, oi_last) = (j / ow, (col_end - 1) / ow);
     for (dst, m) in bpack.chunks_exact_mut(wpad).zip(&meta[l0..l1]) {
-        dst.fill(0.0);
+        dst.fill(E::default());
         for oi in oi_first.max(m.oi_lo)..(oi_last + 1).min(m.oi_hi) {
             let seg_lo = j.saturating_sub(oi * ow).max(m.oj_lo);
             let seg_hi = (col_end - oi * ow).min(ow).min(m.oj_hi);
@@ -365,14 +365,14 @@ fn pack_input_panel(
 /// recovers the within-batch row and `idx · n` the element offset) — the
 /// hook bias folding and the fused quantization epilogues share.
 #[allow(clippy::type_complexity)]
-fn batched_gemm_shared_lhs(
-    lhs: &[f32],
-    out: &mut [f32],
+fn batched_gemm_shared_lhs<E: GemmElem>(
+    lhs: &[E],
+    out: &mut [E::Out],
     m: usize,
     k: usize,
     n: usize,
-    pack: impl Fn(usize, usize, usize, usize, usize, usize, &mut [f32]) + Sync,
-    per_row: impl Fn(usize, &mut [f32]) + Sync,
+    pack: impl Fn(usize, usize, usize, usize, usize, usize, &mut [E]) + Sync,
+    per_row: impl Fn(usize, &mut [E::Out]) + Sync,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -407,11 +407,110 @@ fn batched_gemm_shared_lhs(
     });
 }
 
+/// The image operand of [`conv2d_implicit`]: `batch` images of `channels
+/// × h × w` words, image `t` starting at `data[t · batch_stride]`. A
+/// stride wider than `channels·h·w` reads a channel range of a wider
+/// tensor in place (slice `data` to start at the range's first channel).
+#[derive(Debug, Clone, Copy)]
+pub struct ConvInput<'a, E> {
+    /// The image words.
+    pub data: &'a [E],
+    /// Images in the batch.
+    pub batch: usize,
+    /// Channels read per image.
+    pub channels: usize,
+    /// Image height.
+    pub h: usize,
+    /// Image width.
+    pub w: usize,
+    /// Distance between consecutive images in `data`.
+    pub batch_stride: usize,
+}
+
+impl<'a, E> ConvInput<'a, E> {
+    /// A dense `[batch, channels, h, w]` batch.
+    pub fn dense(data: &'a [E], dims: [usize; 4]) -> Self {
+        let [batch, channels, h, w] = dims;
+        ConvInput {
+            data,
+            batch,
+            channels,
+            h,
+            w,
+            batch_stride: channels * h * w,
+        }
+    }
+}
+
+/// The implicit-GEMM convolution on any [`GemmElem`]: `out[t, ch] =
+/// weight[ch] · patches(x[t])`, where `weight` is `[co, channels·kh·kw]`
+/// row-major and `out` is the `[batch, co, oh, ow]` buffer (its previous
+/// contents are overwritten). The blocked kernel's packing stage reads
+/// patches straight from the image, so the im2col matrix is never
+/// materialized; the work is parallelized over batch·output-channel rows.
+/// Each finished `oh·ow` row goes to `per_row(t·co + ch, row)` exactly
+/// once, cache-hot — the hook for bias folding and fused epilogues.
+///
+/// # Panics
+///
+/// Panics when the buffers disagree with the geometry.
+pub fn conv2d_implicit<E: GemmElem>(
+    x: ConvInput<'_, E>,
+    weight: &[E],
+    co: usize,
+    spec: Conv2dSpec,
+    out: &mut [E::Out],
+    per_row: impl Fn(usize, &mut [E::Out]) + Sync,
+) {
+    let ConvInput {
+        data,
+        batch,
+        channels,
+        h,
+        w,
+        batch_stride,
+    } = x;
+    let (oh, ow) = spec.output_hw(h, w);
+    let rows = channels * spec.kh * spec.kw;
+    let ncols = oh * ow;
+    let chw = channels * h * w;
+    assert_eq!(weight.len(), co * rows, "conv weight count mismatch");
+    assert_eq!(out.len(), batch * co * ncols, "conv output size mismatch");
+    assert!(
+        batch == 0 || (batch - 1) * batch_stride + chw <= data.len(),
+        "conv input is shorter than its geometry"
+    );
+    let meta = pack_rows(channels, h, w, oh, ow, spec);
+    batched_gemm_shared_lhs(
+        weight,
+        out,
+        co,
+        rows,
+        ncols,
+        |t, l0, l1, j, wc, wpad, bpack| {
+            pack_input_panel(
+                &data[t * batch_stride..t * batch_stride + chw],
+                bpack,
+                &meta,
+                l0,
+                l1,
+                j,
+                wc,
+                wpad,
+                w,
+                ow,
+                spec,
+            );
+        },
+        per_row,
+    );
+}
+
 /// Forward 2-D convolution: `input [b, ci, h, w]`, `weight [co, ci, kh, kw]`,
 /// optional `bias [co]` → `[b, co, oh, ow]`.
 ///
-/// Runs as an implicit GEMM: the cache-blocked kernel's packing stage
-/// reads patches straight from the input image ([`pack_input_panel`]), so
+/// Runs as an implicit GEMM ([`conv2d_implicit`]): the cache-blocked
+/// kernel's packing stage reads patches straight from the input image, so
 /// the im2col matrix is never materialized. The GEMM is parallelized over
 /// batch·output-channel blocks and the bias is folded into the same pass;
 /// no intermediate tensors are allocated. The values match the explicit
@@ -454,40 +553,18 @@ pub fn conv2d_fused(
     assert_eq!(weight.dims()[2], spec.kh, "conv2d kernel height mismatch");
     assert_eq!(weight.dims()[3], spec.kw, "conv2d kernel width mismatch");
     let (oh, ow) = spec.output_hw(h, w);
-    let rows = ci * spec.kh * spec.kw;
     let ncols = oh * ow;
     let mut out = Tensor::zeros([b, co, oh, ow]);
     if let Some(bias) = bias {
         assert_eq!(bias.dims(), &[co], "conv2d bias must be [co]");
     }
-    let w2 = weight
-        .reshape([co, ci * spec.kh * spec.kw])
-        .expect("weight reshape is consistent");
     let bias_data = bias.map(|t| t.data());
-    let in_data = input.data();
-    let chw = ci * h * w;
-    let meta = pack_rows(ci, h, w, oh, ow, spec);
-    batched_gemm_shared_lhs(
-        w2.data(),
-        out.data_mut(),
+    conv2d_implicit(
+        ConvInput::dense(input.data(), [b, ci, h, w]),
+        weight.data(),
         co,
-        rows,
-        ncols,
-        |batch, l0, l1, j, wc, wpad, bpack| {
-            pack_input_panel(
-                &in_data[batch * chw..(batch + 1) * chw],
-                bpack,
-                &meta,
-                l0,
-                l1,
-                j,
-                wc,
-                wpad,
-                w,
-                ow,
-                spec,
-            );
-        },
+        spec,
+        out.data_mut(),
         |idx, out_row| {
             if let Some(bd) = bias_data {
                 let bv = bd[idx % co];

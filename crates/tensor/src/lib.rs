@@ -39,7 +39,7 @@ pub mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use linalg::RowEpilogue;
+pub use linalg::{batched_gemm, GemmElem, RowEpilogue};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -7,8 +7,13 @@
 //! row inside a worker's block — the per-element reduction is fixed by the
 //! `KC` panel schedule, not by the partition — so results are bit-identical
 //! for every `QCN_NUM_THREADS` setting.
+//!
+//! The blocked kernel is generic over [`GemmElem`], an element type paired
+//! with its accumulator and output word: `f32` is the float path, and the
+//! integer inference engine runs the same kernel on `i16` and `i64` words.
 
 use crate::{parallel, Shape, Tensor};
+use std::ops::AddAssign;
 
 /// A fused writeback epilogue for the blocked kernels: called once per
 /// finished contiguous region of the output with `(offset, region)`, where
@@ -20,8 +25,57 @@ use crate::{parallel, Shape, Tensor};
 /// derive anything stateful (e.g. stochastic rounding draws) from `offset`
 /// alone, never from call order, so results stay bit-identical for every
 /// thread count and tiling; quantized inference uses this to round
-/// activations as they are stored instead of in a second pass.
-pub type RowEpilogue<'a> = &'a (dyn Fn(usize, &mut [f32]) + Sync);
+/// activations as they are stored instead of in a second pass. `T` is the
+/// output word: `f32` for the float kernels, `i64` for the integer ones.
+pub type RowEpilogue<'a, T = f32> = &'a (dyn Fn(usize, &mut [T]) + Sync);
+
+/// An element type the blocked GEMM multiplies, paired with the register
+/// accumulator its products fold into and the output word each finished
+/// panel sum is stored as (first panel) or added to (later panels).
+///
+/// * `f32` accumulates with [`crate::fmadd`] into `f32` — the float path.
+/// * `i16` multiplies into `i32` and stores `i64`: exact whenever every
+///   partial sum fits `i32`, which the caller proves before choosing it.
+///   A debug build panics on overflow instead of wrapping.
+/// * `i64` accumulates and stores `i64` — the integer fallback.
+///
+/// Integer addition is associative, so the integer instantiations give the
+/// same sums for any blocking; the float one keeps the fixed `l` order.
+pub trait GemmElem: Copy + Default + Send + Sync + 'static {
+    /// The register accumulator.
+    type Acc: Copy + Default;
+    /// The output word the accumulator is widened into.
+    type Out: Copy + Send + Sync + AddAssign + From<Self::Acc>;
+    /// `acc + a·b`.
+    fn mac(a: Self, b: Self, acc: Self::Acc) -> Self::Acc;
+}
+
+impl GemmElem for f32 {
+    type Acc = f32;
+    type Out = f32;
+    #[inline(always)]
+    fn mac(a: f32, b: f32, acc: f32) -> f32 {
+        crate::fmadd(a, b, acc)
+    }
+}
+
+impl GemmElem for i16 {
+    type Acc = i32;
+    type Out = i64;
+    #[inline(always)]
+    fn mac(a: i16, b: i16, acc: i32) -> i32 {
+        acc + i32::from(a) * i32::from(b)
+    }
+}
+
+impl GemmElem for i64 {
+    type Acc = i64;
+    type Out = i64;
+    #[inline(always)]
+    fn mac(a: i64, b: i64, acc: i64) -> i64 {
+        acc + a * b
+    }
+}
 
 /// Register-tile width (output columns held in accumulators at once).
 /// Four 16-lane vectors per row: each `a` broadcast feeds four FMAs,
@@ -47,15 +101,16 @@ const UL: usize = 2;
 /// zero), accumulating into registers first and writing the panel sum to
 /// `out` once — stored outright when `STORE` (first panel of a
 /// fresh-output product, skipping the read of the zeroed destination),
-/// added otherwise. The accumulation order over `l` is ascending and
-/// identical for every instantiation, which is what makes the kernel's
-/// reduction order independent of tiling and threading decisions.
+/// added otherwise, widened to the output word either way. The
+/// accumulation order over `l` is ascending and identical for every
+/// instantiation, which is what makes the kernel's reduction order
+/// independent of tiling and threading decisions.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
-    a: &[f32],
-    bpack: &[f32],
-    out: &mut [f32],
+fn micro_kernel<E: GemmElem, const MR_: usize, const W: usize, const STORE: bool>(
+    a: &[E],
+    bpack: &[E],
+    out: &mut [E::Out],
     i0: usize,
     j0: usize,
     w: usize,
@@ -64,14 +119,14 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
     k: usize,
     n: usize,
 ) {
-    let mut acc = [[0.0f32; W]; MR_];
+    let mut acc = [[E::Acc::default(); W]; MR_];
     let kc = l1 - l0;
     // Fixed trip counts everywhere so the compiler keeps the whole
     // accumulator tile in vector registers. `UL` panel rows are consumed
     // per iteration; the trailing `kc % UL` rows run through the
     // scalar-`l` epilogue below. Narrow tiles (`w < W`) arrive
     // zero-padded to `W` by the packing stage — the padding lanes
-    // accumulate `av × 0.0` garbage that the `w`-wide writeback discards,
+    // accumulate `av × 0` garbage that the `w`-wide writeback discards,
     // while the live lanes see exactly the full-width reduction order.
     let mut li = 0usize;
     for bgrp in bpack.chunks_exact(W * UL).take(kc / UL) {
@@ -81,7 +136,7 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
             for (u, &av) in arow.iter().enumerate() {
                 let brow = &bgrp[u * W..(u + 1) * W];
                 for c in 0..W {
-                    acc_row[c] = crate::fmadd(av, brow[c], acc_row[c]);
+                    acc_row[c] = E::mac(av, brow[c], acc_row[c]);
                 }
             }
         }
@@ -92,7 +147,7 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = a[(i0 + r) * k + l0 + li];
             for c in 0..W {
-                acc_row[c] = crate::fmadd(av, brow[c], acc_row[c]);
+                acc_row[c] = E::mac(av, brow[c], acc_row[c]);
             }
         }
         li += 1;
@@ -100,10 +155,12 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
     for (r, acc_row) in acc.iter().enumerate() {
         let orow = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + w];
         if STORE {
-            orow.copy_from_slice(&acc_row[..w]);
+            for c in 0..w {
+                orow[c] = acc_row[c].into();
+            }
         } else {
             for c in 0..w {
-                orow[c] += acc_row[c];
+                orow[c] += acc_row[c].into();
             }
         }
     }
@@ -114,20 +171,20 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
 /// the stride `wpad`. The padding keeps the microkernel on a fixed-width
 /// path for narrow edge tiles; the pad lanes are discarded on writeback.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_matrix_panel(
-    b: &[f32],
+pub(crate) fn pack_matrix_panel<E: GemmElem>(
+    b: &[E],
     n: usize,
     l0: usize,
     l1: usize,
     j: usize,
     w: usize,
     wpad: usize,
-    bpack: &mut [f32],
+    bpack: &mut [E],
 ) {
     for l in l0..l1 {
         let dst = &mut bpack[(l - l0) * wpad..(l - l0 + 1) * wpad];
         dst[..w].copy_from_slice(&b[l * n + j..l * n + j + w]);
-        dst[w..].fill(0.0);
+        dst[w..].fill(E::default());
     }
 }
 
@@ -150,15 +207,15 @@ pub(crate) fn pack_matrix_panel(
 /// order, `l0..l1` within each), so results are bitwise independent of
 /// the blocking and of how `B` is supplied.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub(crate) fn gemm_serial_with(
-    a: &[f32],
-    out: &mut [f32],
+pub(crate) fn gemm_serial_with<E: GemmElem>(
+    a: &[E],
+    out: &mut [E::Out],
     m: usize,
     k: usize,
     n: usize,
     store: bool,
-    bpack: &mut [f32],
-    pack_panel: &mut dyn FnMut(usize, usize, usize, usize, usize, &mut [f32]),
+    bpack: &mut [E],
+    pack_panel: &mut dyn FnMut(usize, usize, usize, usize, usize, &mut [E]),
 ) {
     debug_assert!(a.len() >= m * k && out.len() >= m * n);
     debug_assert!(bpack.len() >= KC * NR);
@@ -179,9 +236,9 @@ pub(crate) fn gemm_serial_with(
                 macro_rules! tile {
                     ($mr:literal, $w:literal) => {
                         if store && l0 == 0 {
-                            micro_kernel::<$mr, $w, true>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            micro_kernel::<E, $mr, $w, true>(a, bpack, out, i, j, w, l0, l1, k, n)
                         } else {
-                            micro_kernel::<$mr, $w, false>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            micro_kernel::<E, $mr, $w, false>(a, bpack, out, i, j, w, l0, l1, k, n)
                         }
                     };
                 }
@@ -220,15 +277,15 @@ pub(crate) fn gemm_serial_with(
 /// vectorization, the skip was wrong — `0.0 × NaN` and `0.0 × ∞` must
 /// propagate as NaN into the product instead of being dropped.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_serial(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+pub(crate) fn gemm_serial<E: GemmElem>(
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Out],
     m: usize,
     k: usize,
     n: usize,
     store: bool,
-    scratch: &mut [f32],
+    scratch: &mut [E],
 ) {
     debug_assert!(b.len() >= k * n);
     gemm_serial_with(
@@ -249,8 +306,8 @@ pub(crate) fn gemm_serial(
 /// worker partition and reuse across panels, batches, and GEMM calls —
 /// the pack callbacks overwrite the used prefix in full, so the buffer
 /// never needs re-zeroing between calls.
-pub(crate) fn panel_scratch() -> Vec<f32> {
-    vec![0.0f32; KC * NR]
+pub(crate) fn panel_scratch<E: GemmElem>() -> Vec<E> {
+    vec![E::default(); KC * NR]
 }
 
 /// `out += a[m,k] × b[k,n]` (`out = a × b` when `store`), parallelized
@@ -283,6 +340,57 @@ pub(crate) fn gemm(
         gemm_serial(a_rows, b, out_rows, rows.len(), k, n, store, &mut scratch);
         if let Some(epi) = epilogue {
             epi(rows.start * n, out_rows);
+        }
+    });
+}
+
+/// Batched product `out[t] = a[t] × b[t]` over the `out.len() / (m·n)`
+/// batch items (`a[t]` is `m × k`, `b[t]` is `k × n`, everything row-major
+/// and contiguous), parallelized over the batch axis. Each product runs
+/// the serial blocked kernel on one worker, which then hands the finished
+/// `m × n` block to `per_batch(t, block)` while it is cache-hot, so the
+/// result is bit-identical for every thread count.
+///
+/// # Panics
+///
+/// Panics when the operand lengths disagree with the batch geometry.
+pub fn batched_gemm<E: GemmElem>(
+    a: &[E],
+    b: &[E],
+    out: &mut [E::Out],
+    m: usize,
+    k: usize,
+    n: usize,
+    per_batch: impl Fn(usize, &mut [E::Out]) + Sync,
+) {
+    if m * n == 0 {
+        return;
+    }
+    let batches = out.len() / (m * n);
+    assert_eq!(
+        out.len(),
+        batches * m * n,
+        "output is not whole batch items"
+    );
+    assert_eq!(a.len(), batches * m * k, "lhs does not match the batch");
+    assert_eq!(b.len(), batches * k * n, "rhs does not match the batch");
+    // One batch per worker at minimum; each batch's product is the serial
+    // kernel, so batch order inside a worker is irrelevant.
+    parallel::par_split_mut(out, m * n, 1, |items, out_block| {
+        let mut scratch = panel_scratch();
+        for (off, t) in items.clone().enumerate() {
+            let block = &mut out_block[off * m * n..(off + 1) * m * n];
+            gemm_serial(
+                &a[t * m * k..(t + 1) * m * k],
+                &b[t * k * n..(t + 1) * k * n],
+                block,
+                m,
+                k,
+                n,
+                true,
+                &mut scratch,
+            );
+            per_batch(t, block);
         }
     });
 }
@@ -395,30 +503,19 @@ impl Tensor {
         assert_eq!(b, b2, "bmm batch sizes disagree: {b} vs {b2}");
         assert_eq!(k, k2, "bmm inner dims disagree: {k} vs {k2}");
         let mut out = vec![0.0f32; b * m * n];
-        if m * n > 0 {
-            let (lhs_data, rhs_data) = (self.data(), rhs.data());
-            // One batch per worker at minimum; each batch's product is the
-            // serial kernel, so batch order inside a worker is irrelevant.
-            parallel::par_split_mut(&mut out, m * n, 1, |batches, out_block| {
-                let mut scratch = panel_scratch();
-                for (off, batch) in batches.clone().enumerate() {
-                    let block = &mut out_block[off * m * n..(off + 1) * m * n];
-                    gemm_serial(
-                        &lhs_data[batch * m * k..(batch + 1) * m * k],
-                        &rhs_data[batch * k * n..(batch + 1) * k * n],
-                        block,
-                        m,
-                        k,
-                        n,
-                        true,
-                        &mut scratch,
-                    );
-                    if let Some(epi) = epilogue {
-                        epi(batch * m * n, block);
-                    }
+        batched_gemm(
+            self.data(),
+            rhs.data(),
+            &mut out,
+            m,
+            k,
+            n,
+            |batch, block| {
+                if let Some(epi) = epilogue {
+                    epi(batch * m * n, block);
                 }
-            });
-        }
+            },
+        );
         Tensor::from_vec(out, [b, m, n]).expect("bmm output shape is consistent")
     }
 

@@ -10,15 +10,16 @@ cargo test -q
 # the root tests only the facade package). The vendored stand-ins are
 # workspace members too; their self-tests are skipped.
 cargo test -q --workspace --exclude qcn-repro --exclude criterion --exclude proptest --exclude rand
-cargo test -q --test integer_inference_equivalence
 # Serving soak: the determinism contract must hold for every kernel
-# thread count (serial, even split, odd split) — both for in-process
-# submits and over the socket front-end — and so must batch invariance
-# (any partition of samples into batches gives the one-sample bits, for
-# every engine and rounding scheme). `--router-smoke` additionally
-# runs the replica-fleet failover soak (kill + same-port restart under
-# load) at each thread count.
+# thread count (serial, even split, odd split) — for the integer engine
+# against the fake-quant reference, for in-process submits and over the
+# socket front-end — and so must batch invariance (any partition of
+# samples into batches gives the one-sample bits, for every engine and
+# rounding scheme). `--router-smoke` additionally runs the replica-fleet
+# failover soak (kill + same-port restart under load) at each thread
+# count.
 for t in 1 2 7; do
+  QCN_NUM_THREADS=$t cargo test -q --test integer_inference_equivalence
   QCN_NUM_THREADS=$t cargo test -q --test serving_determinism
   QCN_NUM_THREADS=$t cargo test -q --test serving_net_equivalence
   QCN_NUM_THREADS=$t cargo test -q --test batch_invariance

@@ -14,6 +14,7 @@ use qcn_repro::capsnet::{
 };
 use qcn_repro::fixed::RoundingScheme;
 use qcn_repro::framework::export::pack_model;
+use qcn_repro::intinfer::kernels::AccWidth;
 use qcn_repro::intinfer::{IntModel, UnitMode};
 use qcn_repro::tensor::{parallel, Tensor};
 
@@ -184,4 +185,52 @@ fn load_rejects_structurally_invalid_blobs() {
     dconfig.layers[1].stream_frac = None;
     let packed = pack_model(&dmodel, &dconfig);
     assert!(IntModel::load(&dmodel.descriptor(), &packed).is_err());
+}
+
+#[test]
+fn load_proves_accumulator_widths() {
+    let (model, _) = shallow_setup();
+    let desc = model.descriptor();
+    // ShallowCaps-S L2 (PrimaryCaps) reduces K = 24·5·5 = 600 terms; with
+    // 8-bit weights and activations the worst-case sum stays below 2^24,
+    // so i32 accumulators are exact. L1 reads the unclamped model input:
+    // its width is proved per batch.
+    let config = ModelQuant::uniform(3, 7, RoundingScheme::RoundToNearest);
+    let engine = IntModel::load(&desc, &pack_model(&model, &config)).unwrap();
+    let widths = engine.accumulator_widths();
+    assert_eq!(widths[0], vec![None]);
+    assert_eq!(widths[1], vec![Some(AccWidth::I32)]);
+    // Every 8-bit weight is stored once, in two bytes.
+    let weights: usize = desc.groups.iter().map(|(_, g)| g.weight_count()).sum();
+    assert_eq!(engine.weight_bytes(), 2 * weights);
+    // 16-bit weights and activations over the same K = 600 overflow i32
+    // in the worst case: the proof falls back to i64.
+    let config = ModelQuant::uniform(3, 15, RoundingScheme::RoundToNearest);
+    let engine = IntModel::load(&desc, &pack_model(&model, &config)).unwrap();
+    assert_eq!(engine.accumulator_widths()[1], vec![Some(AccWidth::I64)]);
+}
+
+#[test]
+fn huge_on_grid_model_input_stays_exact() {
+    // The model input is on-grid but not clamped. Raw words past i16 fail
+    // the narrow proof, so L1 takes the i64 path and is never wrapped; the
+    // sums stay inside f32's exact window, so the reference is exact too.
+    let (model, mut x) = shallow_setup();
+    for (i, v) in x.data_mut().iter_mut().enumerate().step_by(7) {
+        *v = if i % 2 == 0 { 1250.0 } else { -1000.5 };
+    }
+    let desc = model.descriptor();
+    for scheme in RoundingScheme::EXTENDED {
+        let config = shallow_config(scheme);
+        let want = reference_logits(&model, &config, &x);
+        let engine = IntModel::load(&desc, &pack_model(&model, &config)).unwrap();
+        for threads in [1usize, 2, 7] {
+            let got = parallel::with_threads(threads, || engine.infer(&x, 5, UnitMode::FloatExact));
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "scheme {scheme:?}, threads {threads}"
+            );
+        }
+    }
 }
