@@ -2,14 +2,17 @@
 //! the deployment-datapath counterparts of the f32 kernels in
 //! `benches/kernels.rs`, at the same problem sizes so the two reports
 //! read side by side: integer convolution and the batch-major
-//! capsule-vote GEMM on both accumulator widths, and the shift-based
-//! requantization epilogue per rounding scheme.
+//! capsule-vote GEMM on both accumulator widths, the dynamic-routing loop
+//! in both unit modes, and the shift-based requantization epilogue per
+//! rounding scheme.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qcn_capsnet::QuantCtx;
 use qcn_fixed::{QFormat, Quantizer, RoundingScheme};
 use qcn_intinfer::epilogue::KeyedRequant;
 use qcn_intinfer::kernels::{caps_votes, conv2d, AccWidth, LinearWeights};
-use qcn_intinfer::IntTensor;
+use qcn_intinfer::routing::{route_per_sample_raw, RoutePlan, RoutingSpec};
+use qcn_intinfer::{IntTensor, UnitMode};
 use qcn_tensor::conv::Conv2dSpec;
 use std::hint::black_box;
 
@@ -81,6 +84,32 @@ fn bench_int_caps_votes(c: &mut Criterion) {
     }
 }
 
+fn bench_int_routing(c: &mut Criterion) {
+    // ShallowCaps-S DigitCaps routing as served: 128 input capsules, 10
+    // classes × 8-D, 3 iterations at Q_DR 4 (i32 lanes), one sample.
+    let spec = RoutingSpec {
+        iters: 3,
+        ti: 128,
+        to: 10,
+        dd: 8,
+        s: 1,
+        out_frac: 5,
+    };
+    // Votes on the clamped Q1.4 grid, [ti, b, to, dd, s].
+    let votes: Vec<i64> = (0..128 * 10 * 8).map(|i| (i * 37 + 11) % 32 - 16).collect();
+    let votes = IntTensor::from_raw(votes, vec![128, 1, 10, 8, 1], 4);
+    let plan = RoutePlan::new(spec.ti, spec.dd, 4);
+    assert_eq!(plan.width(), AccWidth::I32);
+    for mode in [UnitMode::FloatExact, UnitMode::Integer] {
+        c.bench_function(&format!("int routing 128x10x8 3 iters ({mode:?})"), |b| {
+            b.iter(|| {
+                let mut ctx = QuantCtx::new(RoundingScheme::RoundToNearest, 0xBEEF);
+                route_per_sample_raw(black_box(&votes), spec, &plan, mode, &mut ctx)
+            })
+        });
+    }
+}
+
 fn bench_shift_requant(c: &mut Criterion) {
     // Counterpart of "quantize 64k elements" in kernels.rs: the raw
     // shift-based requantization from 10 to 5 fractional bits.
@@ -106,6 +135,6 @@ fn bench_shift_requant(c: &mut Criterion) {
 criterion_group! {
     name = int_kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_int_conv2d, bench_int_caps_votes, bench_shift_requant
+    targets = bench_int_conv2d, bench_int_caps_votes, bench_int_routing, bench_shift_requant
 }
 criterion_main!(int_kernels);

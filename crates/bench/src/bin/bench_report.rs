@@ -26,6 +26,7 @@ use qcn_serve::{
     Client, FakeQuantEngine, IntEngine, ModelRegistry, ServeConfig, ServeEngine, Server,
     SocketServer,
 };
+use qcn_telemetry::MetricValue;
 use qcn_tensor::conv::{conv2d, conv2d_fused, Conv2dSpec};
 use qcn_tensor::parallel::{current_threads, with_threads};
 use qcn_tensor::Tensor;
@@ -99,7 +100,10 @@ struct FusedEntry {
 /// the measured check), and the pure-integer engine. `capsacc_latency_us`
 /// is the CapsAcc analytical latency of the architecture from the
 /// hardware model, tying the software timings to the accelerator the
-/// wordlength blob targets.
+/// wordlength blob targets. `stage_us` is the float-exact engine's mean
+/// time per call of each stage (L1, L2, L3, ...), read from the stage spans
+/// production exports (`qcn_stage_duration_us`); empty when telemetry is
+/// off.
 struct IntInferEntry {
     name: String,
     fake_quant_ms: f64,
@@ -107,6 +111,27 @@ struct IntInferEntry {
     integer_ms: f64,
     bit_exact: bool,
     capsacc_latency_us: f64,
+    stage_us: Vec<(String, f64)>,
+}
+
+/// `(count, sum µs)` of the integer engine's stage-time histogram for
+/// `model`, per stage.
+fn int_stage_totals(model: &str) -> Vec<(String, u64, f64)> {
+    let mut out = Vec::new();
+    for m in qcn_telemetry::global().snapshot() {
+        let label = |k: &str| m.labels.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+        if m.name != "qcn_stage_duration_us"
+            || label("engine").map(String::as_str) != Some("integer")
+            || label("model").map(String::as_str) != Some(model)
+        {
+            continue;
+        }
+        if let (Some(stage), MetricValue::Histogram { count, sum, .. }) = (label("stage"), &m.value)
+        {
+            out.push((stage.clone(), *count, *sum));
+        }
+    }
+    out
 }
 
 /// Times one model through the three paths under `config` (RTN so timing
@@ -135,6 +160,26 @@ fn int_infer_entry<M: CapsNet>(
     let integer_ms = measure(|| {
         black_box(engine.infer(black_box(x), in_frac, UnitMode::Integer));
     });
+    // Per-stage float-exact times: the spans' histogram gain over a run.
+    let before = int_stage_totals(engine.name());
+    for _ in 0..200 {
+        black_box(engine.infer(black_box(x), in_frac, UnitMode::FloatExact));
+    }
+    let after = int_stage_totals(engine.name());
+    let totals = |at: &[(String, u64, f64)], stage: &str| {
+        at.iter()
+            .find(|(s, _, _)| s == stage)
+            .map(|&(_, count, sum)| (count, sum))
+    };
+    let stage_us = engine
+        .group_names()
+        .into_iter()
+        .filter_map(|stage| {
+            let (count, sum) = totals(&after, stage)?;
+            let (c0, s0) = totals(&before, stage).unwrap_or((0, 0.0));
+            Some((stage.to_string(), (sum - s0) / (count - c0).max(1) as f64))
+        })
+        .collect();
     IntInferEntry {
         name,
         fake_quant_ms,
@@ -142,6 +187,7 @@ fn int_infer_entry<M: CapsNet>(
         integer_ms,
         bit_exact: got.data() == want.data(),
         capsacc_latency_us,
+        stage_us,
     }
 }
 
@@ -665,6 +711,15 @@ fn main() {
         let capsacc = Accelerator::capsacc();
         vec![
             int_infer_entry(
+                "ShallowCaps-S b1 uniform Q1.5 / dr Q1.4".to_string(),
+                &shallow,
+                &shallow.descriptor(),
+                &sconfig,
+                &grid_input([1, 1, 16, 16], 7),
+                5,
+                capsacc.latency_us(&archstats::shallow_caps()),
+            ),
+            int_infer_entry(
                 "ShallowCaps-S b8 uniform Q1.5 / dr Q1.4".to_string(),
                 &shallow,
                 &shallow.descriptor(),
@@ -1098,13 +1153,18 @@ fn main() {
     json.push_str("  \"integer_inference\": [\n");
     for (i, e) in int_entries.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"fake_quant_ms\": {:.4}, \"float_exact_ms\": {:.4}, \"integer_ms\": {:.4}, \"bit_exact\": {}, \"capsacc_latency_us\": {:.2} }}{}\n",
+            "    {{ \"name\": \"{}\", \"fake_quant_ms\": {:.4}, \"float_exact_ms\": {:.4}, \"integer_ms\": {:.4}, \"bit_exact\": {}, \"capsacc_latency_us\": {:.2}, \"stage_us\": {{ {} }} }}{}\n",
             json_escape(&e.name),
             e.fake_quant_ms,
             e.float_exact_ms,
             e.integer_ms,
             e.bit_exact,
             e.capsacc_latency_us,
+            e.stage_us
+                .iter()
+                .map(|(stage, us)| format!("\"{}\": {us:.1}", json_escape(stage)))
+                .collect::<Vec<_>>()
+                .join(", "),
             if i + 1 < int_entries.len() { "," } else { "" }
         ));
     }

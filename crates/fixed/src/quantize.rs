@@ -148,6 +148,28 @@ impl FusedQuant {
         }
     }
 
+    /// [`apply`](Self::apply) that writes grid indices instead of values:
+    /// `raw[i]` is the index at this recipe's precision of the value
+    /// `apply` would store for `values[i]` (see
+    /// [`RoundingScheme::round_slice_raw_with`]). Keyed by position exactly
+    /// like `apply`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` and `raw` differ in length.
+    pub fn apply_raw(&self, offset: usize, values: &[f32], raw: &mut [i64]) {
+        let Quantizer { format, scheme } = self.quantizer;
+        if scheme != RoundingScheme::Stochastic {
+            return scheme.round_slice_raw_with(values, raw, format, |_| 0.0);
+        }
+        assert_eq!(values.len(), raw.len(), "raw output length mismatch");
+        for (run, base, at) in self.runs(offset, values.len()) {
+            scheme.round_slice_raw_with(&values[run.clone()], &mut raw[run], format, |i| {
+                sr_uniform(base, (at + i) as u64)
+            });
+        }
+    }
+
     /// The round-after reference: one separate pass over the whole tensor,
     /// bit-identical to applying [`FusedQuant::apply`] tile by tile.
     pub fn quantize_inplace(&self, t: &mut Tensor) {
@@ -364,6 +386,30 @@ mod tests {
             })
             .collect();
         assert_eq!(tiled.data(), &want[..]);
+    }
+
+    #[test]
+    fn apply_raw_indexes_the_values_apply_stores() {
+        // In range, clamped at both ends, exact half-way points, and a
+        // 30-bit grid whose indices f32 cannot hold exactly.
+        let mut t = Tensor::rand_uniform([257], -1.5, 1.5, &mut rng());
+        t.data_mut()[..4].copy_from_slice(&[0.5 / 16.0, -1.5 / 16.0, 2.5 / 16.0, 0.0]);
+        for frac in [4u8, 30] {
+            for scheme in RoundingScheme::EXTENDED {
+                let quant = Quantizer::new(QFormat::with_frac(frac), scheme);
+                let fq = quant.fused_per_sample(vec![5, 1 << 33, 9], 100);
+                let mut values = t.data().to_vec();
+                fq.apply(3, &mut values[..200]);
+                let mut raw = vec![0i64; 200];
+                fq.apply_raw(3, &t.data()[..200], &mut raw);
+                let scale = (frac as f64).exp2();
+                let want: Vec<i64> = values[..200]
+                    .iter()
+                    .map(|&v| (v as f64 * scale) as i64)
+                    .collect();
+                assert_eq!(raw, want, "{scheme} frac {frac}");
+            }
+        }
     }
 
     #[test]

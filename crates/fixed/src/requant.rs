@@ -94,6 +94,8 @@ pub fn requant_slice_with(
                 *v = requant_raw(scheme, *v, in_frac, out, draw(i));
             }
         }
+        // Same grid: only the clamp remains.
+        _ if shift == 0 => values.iter_mut().for_each(|v| *v = (*v).clamp(lo, hi)),
         // A narrowing shift of an `i64` cannot overflow `i64`: the
         // deterministic schemes run [`requant_raw`]'s arithmetic without
         // its `i128` widening, one scheme-specific loop each.

@@ -148,6 +148,55 @@ impl RoundingScheme {
             }
         }
     }
+
+    /// [`round_slice_with`](Self::round_slice_with) that writes grid
+    /// indices instead of values: `raw[i]·ε` is exactly the value the f32
+    /// path stores for `values[i]` (past 24-bit indices that value is the
+    /// index rounded to f32, and so is `raw[i]`). NaN, which has no index,
+    /// gives 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` and `raw` differ in length.
+    pub fn round_slice_raw_with(
+        &self,
+        values: &[f32],
+        raw: &mut [i64],
+        format: QFormat,
+        mut draw: impl FnMut(usize) -> f64,
+    ) {
+        assert_eq!(values.len(), raw.len(), "raw output length mismatch");
+        let inv_eps = (format.precision() as f64).recip();
+        let (lo, hi) = (format.min_raw(), format.max_raw());
+        // Indices past f32's significand are stored rounded to f32.
+        let wide = u32::from(format.wordlength()) > f32::MANTISSA_DIGITS;
+        let index = |scheme, x, u| {
+            let raw = round_index(scheme, x, inv_eps, lo, hi, u);
+            if wide {
+                raw as f32 as i64
+            } else {
+                raw
+            }
+        };
+        let pairs = raw.iter_mut().zip(values);
+        // One loop per scheme, so no loop branches on it per element.
+        match *self {
+            RoundingScheme::Truncation => {
+                pairs.for_each(|(r, &x)| *r = index(RoundingScheme::Truncation, x, 0.0));
+            }
+            RoundingScheme::RoundToNearest => {
+                pairs.for_each(|(r, &x)| *r = index(RoundingScheme::RoundToNearest, x, 0.0));
+            }
+            RoundingScheme::RoundToNearestEven => {
+                pairs.for_each(|(r, &x)| *r = index(RoundingScheme::RoundToNearestEven, x, 0.0));
+            }
+            RoundingScheme::Stochastic => {
+                for (i, (r, &x)) in pairs.enumerate() {
+                    *r = index(RoundingScheme::Stochastic, x, draw(i));
+                }
+            }
+        }
+    }
 }
 
 /// Deterministic uniform draw in `[0, 1)` for output element `index` of a
@@ -203,6 +252,13 @@ fn round_value(
     if x.is_nan() {
         return x;
     }
+    round_index(scheme, x, inv_eps, lo, hi, u) as f32 * eps
+}
+
+/// [`round_value`]'s grid index, before it is scaled back by `eps` (NaN,
+/// which has no index, gives 0).
+#[inline(always)]
+fn round_index(scheme: RoundingScheme, x: f32, inv_eps: f64, lo: i64, hi: i64, u: f64) -> i64 {
     // Widen *before* scaling: multiplying by the power-of-two 1/ε in f64 is
     // exact, so half-way points reach the classifier unperturbed. (±∞ stays
     // ±∞ here and saturates through the i64 cast + clamp below.)
@@ -231,7 +287,7 @@ fn round_value(
             floor as i64 + i64::from(u < frac)
         }
     };
-    raw.clamp(lo, hi) as f32 * eps
+    raw.clamp(lo, hi)
 }
 
 impl fmt::Display for RoundingScheme {

@@ -6,9 +6,17 @@
 //! [`qcapsnets::export::PackedModel`] (the deployment wordlength blob) and
 //! runs the complete ShallowCaps / DeepCaps forward pass on raw integers:
 //!
-//! * **Linear kernels** ([convolution and capsule votes](crate::IntModel))
-//!   multiply raw fixed-point words into exact `i64` accumulators at
-//!   `x.frac + w.frac` fractional bits.
+//! * **Linear kernels** ([convolution and capsule votes](crate::kernels))
+//!   multiply raw fixed-point words into exact accumulators at `x.frac +
+//!   w.frac` fractional bits, on `qcn_tensor`'s blocked GEMM. The
+//!   accumulator width is proved per kernel at [`IntModel::load`]
+//!   ([`IntModel::accumulator_widths`]): `i16 × i16 → i32` when every
+//!   operand fits 16 bits and the worst-case sum fits `i32`, else `i64`.
+//!   The first layer reads the unclamped model input, so its width is
+//!   proved per batch from the observed range.
+//! * **Dynamic routing** ([`routing`]) runs on fixed-width lanes of `i32`
+//!   words when `max(ti, dd)·2^(2·Q_DR)` fits `i32`, else of `i64` words
+//!   ([`IntModel::routing_widths`]); one generic kernel serves both.
 //! * **Requantization** between layers is the shift-based
 //!   [`qcn_fixed::requant_raw`] under the model's rounding scheme
 //!   (TRN/RTN/RTNE/SR), applied through writeback epilogues that key every
@@ -21,13 +29,19 @@
 //!   pure integer units of [`qcn_fixed`] (integer square root, Q-format
 //!   exponential) so no float arithmetic executes anywhere.
 //!
-//! The bit-exactness of `FloatExact` mode is not luck: every linear
-//! accumulator in the supported configurations stays inside f32's 24-bit
-//! exact window, where f32 addition of grid values is exact, and
-//! [`qcn_fixed::requant_raw`] is proven (by exhaustive test) bit-identical
-//! to the f32 rounding for representable values. The equivalence suite in
-//! `tests/integer_inference_equivalence.rs` verifies end-to-end logit
-//! equality over all rounding schemes and thread counts.
+//! The bit-exactness of `FloatExact` mode rests on two facts. Integer
+//! sums are exact at any proved width. The f32 reference is exact only
+//! while its sums stay inside f32's 24-bit significand: f32 addition of
+//! grid values is exact there, and [`qcn_fixed::requant_raw`] is proven
+//! (by exhaustive test) bit-identical to the f32 rounding for
+//! representable values. Narrow configurations stay inside that window;
+//! uniform widths of 14 bits and more leave it, and there the two engines
+//! have been seen to differ (by up to 3.1e-3), with the reference the one
+//! that rounds. The end-to-end suites check identity over all rounding
+//! schemes and thread counts on uniform Q1.5 with `Q_DR` 4
+//! (`tests/integer_inference_equivalence.rs`), and on random routing
+//! geometries at `Q_DR` 2–8 (`tests/routing_geometry.rs`); no wider domain
+//! is tested.
 //!
 //! [`IntEvaluator`] plugs the engine into the framework's
 //! [`qcapsnets::ConfigScorer`] interface, so the Q-CapsNets search can
@@ -39,7 +53,7 @@ pub mod epilogue;
 mod evaluator;
 pub mod kernels;
 mod model;
-mod routing;
+pub mod routing;
 pub mod tensor;
 mod units;
 

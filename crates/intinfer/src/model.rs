@@ -3,9 +3,9 @@
 
 use crate::epilogue::KeyedRequant;
 use crate::kernels::{caps_votes, conv2d, raw_range, AccWidth, LinearWeights};
-use crate::routing::{route_per_sample_raw, RoutingSpec};
+use crate::routing::{route_per_sample_raw, RoutePlan, RoutingSpec};
 use crate::tensor::{flatten_caps_raw, raw_to_f32, IntTensor};
-use crate::units::{squash_blocks_requant, UnitMode};
+use crate::units::{squash_blocks_requant, UnitMode, UnitScratch};
 use qcapsnets::export::{unpack_raw_weights, PackedModel};
 use qcn_capsnet::descriptor::{BlockDesc, GroupDesc, LayerDesc, ModelDesc};
 use qcn_capsnet::layers::Activation;
@@ -144,8 +144,6 @@ struct GroupBits {
     weight: u8,
     /// Stored-activation width (`Qa`).
     act: u8,
-    /// Explicit routing width, when configured (`Q_DR`).
-    dr: Option<u8>,
     /// Intra-block streaming width (DeepCaps blocks only).
     stream: Option<u8>,
 }
@@ -217,13 +215,44 @@ fn layer_ops(layer: &LayerDesc, raw: &[i64], x_frac: Option<u8>) -> Vec<LinearOp
     }
 }
 
-/// One executable group: structure, widths, and the linear ops of each
-/// primitive layer (one layer, or a block's main1, main2 and skip).
+/// One primitive layer's executable form: its linear ops and, for a
+/// routing layer, the routing plan proved at load.
+#[derive(Debug, Clone)]
+struct LoadedLayer {
+    ops: Vec<LinearOp>,
+    route: Option<RoutePlan>,
+}
+
+impl LoadedLayer {
+    /// Loads `layer` from its raw weights; a routing layer routes at `dr`.
+    fn new(layer: &LayerDesc, raw: &[i64], x_frac: Option<u8>, dr: u8) -> Self {
+        let route = match *layer {
+            LayerDesc::ConvCapsRouting {
+                in_types, out_dim, ..
+            } => Some(RoutePlan::new(in_types, out_dim, dr)),
+            LayerDesc::CapsFc {
+                in_caps, out_dim, ..
+            } => Some(RoutePlan::new(in_caps, out_dim, dr)),
+            _ => None,
+        };
+        LoadedLayer {
+            ops: layer_ops(layer, raw, x_frac),
+            route,
+        }
+    }
+
+    fn route(&self) -> &RoutePlan {
+        self.route.as_ref().expect("routing layers carry a plan")
+    }
+}
+
+/// One executable group: structure, widths, and each primitive layer (one
+/// layer, or a block's main1, main2 and skip).
 #[derive(Debug, Clone)]
 struct LoadedGroup {
     desc: GroupDesc,
     bits: GroupBits,
-    layers: Vec<Vec<LinearOp>>,
+    layers: Vec<LoadedLayer>,
 }
 
 /// A packed model loaded into directly executable integer form.
@@ -367,20 +396,27 @@ impl IntModel {
                     .sum::<usize>();
                 (&flat[at..at + len], at + len)
             };
+            // Routing runs at Q_DR, falling back to the width the layer
+            // stores at: Qa for a layer, the streaming width in a block
+            // (the reference's inner LayerQuant has act = stream_frac).
             let layers = match gdesc {
-                GroupDesc::Layer(layer) => vec![layer_ops(layer, &flat, x_frac)],
+                GroupDesc::Layer(layer) => {
+                    let dr = lq.dr_frac.unwrap_or(act);
+                    vec![LoadedLayer::new(layer, &flat, x_frac, dr)]
+                }
                 GroupDesc::Block(block) => {
                     let stream = stream.ok_or(LoadError::MissingWidth {
                         group: name.clone(),
                         field: "stream_frac",
                     })?;
+                    let dr = lq.dr_frac.unwrap_or(stream);
                     let (main1, at) = weights_of(&block.main1, 0);
                     let (main2, at) = weights_of(&block.main2, at);
                     let (skip, _) = weights_of(&block.skip, at);
                     vec![
-                        layer_ops(&block.main1, main1, x_frac),
-                        layer_ops(&block.main2, main2, Some(stream)),
-                        layer_ops(&block.skip, skip, x_frac),
+                        LoadedLayer::new(&block.main1, main1, x_frac, dr),
+                        LoadedLayer::new(&block.main2, main2, Some(stream), dr),
+                        LoadedLayer::new(&block.skip, skip, x_frac, dr),
                     ]
                 }
             };
@@ -389,7 +425,6 @@ impl IntModel {
                 bits: GroupBits {
                     weight,
                     act,
-                    dr: lq.dr_frac,
                     stream,
                 },
                 layers,
@@ -433,7 +468,30 @@ impl IntModel {
     pub fn accumulator_widths(&self) -> Vec<Vec<Option<AccWidth>>> {
         self.groups
             .iter()
-            .map(|g| g.layers.iter().flatten().map(|op| op.width).collect())
+            .map(|g| {
+                g.layers
+                    .iter()
+                    .flat_map(|l| &l.ops)
+                    .map(|op| op.width)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The routing lane widths proved at load, per group, one entry per
+    /// routing layer: `I32` when `max(ti, dd)·2^(2·Q_DR)` fits `i32` (the
+    /// worst-case routing sum of Q1.`Q_DR` votes, couplings and outputs),
+    /// `I64` otherwise.
+    pub fn routing_widths(&self) -> Vec<Vec<AccWidth>> {
+        self.groups
+            .iter()
+            .map(|g| {
+                g.layers
+                    .iter()
+                    .flat_map(|l| &l.route)
+                    .map(RoutePlan::width)
+                    .collect()
+            })
             .collect()
     }
 
@@ -442,7 +500,7 @@ impl IntModel {
     pub fn weight_bytes(&self) -> usize {
         self.groups
             .iter()
-            .flat_map(|g| g.layers.iter().flatten())
+            .flat_map(|g| g.layers.iter().flat_map(|l| &l.ops))
             .map(|op| op.weights.bytes())
             .sum()
     }
@@ -488,13 +546,11 @@ impl IntModel {
                         }
                     }
                     let bits = group.bits;
-                    let dr = bits.dr.unwrap_or(bits.act);
                     cur = run_layer(
                         layer,
                         &group.layers[0],
                         bits.weight,
                         bits.act,
-                        dr,
                         cur,
                         mode,
                         &mut ctx,
@@ -520,22 +576,22 @@ impl IntModel {
 
 /// Executes one primitive layer on its linear `ops`. `out_frac` is the
 /// width its output is stored at (`Qa` for standalone layers, the
-/// streaming width inside DeepCaps blocks); `dr` the routing width where
-/// applicable. Rounding points are claimed in the reference layers' site
+/// streaming width inside DeepCaps blocks); a routing layer's plan sets
+/// its `Q_DR`. Rounding points are claimed in the reference layers' site
 /// order — conv/ConvCaps bind their epilogue before the kernel,
 /// ConvCapsRouting binds one per input type inside its loop, routing
 /// claims one nested point.
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     layer: &LayerDesc,
-    ops: &[LinearOp],
+    loaded: &LoadedLayer,
     w_frac: u8,
     out_frac: u8,
-    dr: u8,
     x: IntTensor,
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
+    let ops = &loaded.ops;
     let acc = x.frac() + w_frac;
     // A convolution of `x`'s channels from `c0` by `op` into a fresh
     // `[b, co, oh, ow]` tensor at `frac`.
@@ -587,7 +643,8 @@ fn run_layer(
                 .permute(&[0, 1, 3, 2])
                 .reshape(vec![b, types * oh * ow, *dim]);
             let rq = KeyedRequant::bind(ctx, acc, out_frac, caps.data().len());
-            squash_blocks_requant(mode, caps.data_mut(), acc, *dim, 1, &rq);
+            let scratch = &mut UnitScratch::default();
+            squash_blocks_requant(mode, caps.data_mut(), acc, *dim, 1, &rq, scratch);
             caps.set_frac(out_frac);
             caps
         }
@@ -609,7 +666,8 @@ fn run_layer(
             }
             let y = conv(&ops[0], types * dim, *spec, acc, None);
             let mut grouped = y.reshape(vec![b, *types, *dim, oh * ow]);
-            squash_blocks_requant(mode, grouped.data_mut(), acc, *dim, oh * ow, &rq);
+            let scratch = &mut UnitScratch::default();
+            squash_blocks_requant(mode, grouped.data_mut(), acc, *dim, oh * ow, &rq, scratch);
             grouped.set_frac(out_frac);
             grouped.reshape(vec![b, types * dim, oh, ow])
         }
@@ -625,6 +683,8 @@ fn run_layer(
             let (oh, ow) = spec.output_hw(h, w);
             let s_spatial = oh * ow;
             let out_ch = out_types * out_dim;
+            let plan = loaded.route();
+            let dr = plan.dr();
             // Capsule-major votes `[ti, b, to, dd, s]`: type `ti`'s
             // convolution writes its `[b, out_ch, s]` slot directly.
             let mut votes =
@@ -656,9 +716,9 @@ fn run_layer(
                     to: *out_types,
                     dd: *out_dim,
                     s: s_spatial,
-                    dr,
                     out_frac,
                 },
+                plan,
                 mode,
                 ctx,
             );
@@ -673,6 +733,8 @@ fn run_layer(
         } => {
             let b = x.dims()[0];
             let len = b * in_caps * out_caps * out_dim;
+            let plan = loaded.route();
+            let dr = plan.dr();
             let rq = KeyedRequant::bind(ctx, acc, dr, len);
             let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
             let op = &ops[0];
@@ -694,9 +756,9 @@ fn run_layer(
                     to: *out_caps,
                     dd: *out_dim,
                     s: 1,
-                    dr,
                     out_frac,
                 },
+                plan,
                 mode,
                 ctx,
             );
@@ -714,28 +776,16 @@ fn run_layer(
 fn run_block(
     block: &BlockDesc,
     bits: &GroupBits,
-    layers: &[Vec<LinearOp>],
+    layers: &[LoadedLayer],
     x: IntTensor,
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
     let stream = bits.stream.expect("validated at load");
-    // Inside a block the routing skip falls back to the streaming width,
-    // mirroring the reference's inner LayerQuant (act = stream_frac).
-    let dr = bits.dr.unwrap_or(stream);
     let w = bits.weight;
-    let m1 = run_layer(
-        &block.main1,
-        &layers[0],
-        w,
-        stream,
-        dr,
-        x.clone(),
-        mode,
-        ctx,
-    );
-    let m2 = run_layer(&block.main2, &layers[1], w, stream, dr, m1, mode, ctx);
-    let skip = run_layer(&block.skip, &layers[2], w, stream, dr, x, mode, ctx);
+    let m1 = run_layer(&block.main1, &layers[0], w, stream, x.clone(), mode, ctx);
+    let m2 = run_layer(&block.main2, &layers[1], w, stream, m1, mode, ctx);
+    let skip = run_layer(&block.skip, &layers[2], w, stream, x, mode, ctx);
     assert_eq!(m2.dims(), skip.dims(), "block branch shapes diverge");
     let (b, h, w) = (m2.dims()[0], m2.dims()[2], m2.dims()[3]);
     let mut sum = m2;
@@ -745,7 +795,16 @@ fn run_block(
     let mut grouped = sum.reshape(vec![b, block.types, block.dim, h * w]);
     let len = grouped.data().len();
     let rq = KeyedRequant::bind(ctx, stream, bits.act, len);
-    squash_blocks_requant(mode, grouped.data_mut(), stream, block.dim, h * w, &rq);
+    let scratch = &mut UnitScratch::default();
+    squash_blocks_requant(
+        mode,
+        grouped.data_mut(),
+        stream,
+        block.dim,
+        h * w,
+        &rq,
+        scratch,
+    );
     grouped.set_frac(bits.act);
     grouped.reshape(vec![b, block.types * block.dim, h, w])
 }

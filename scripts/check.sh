@@ -15,14 +15,16 @@ cargo test -q --workspace --exclude qcn-repro --exclude criterion --exclude prop
 # against the fake-quant reference, for in-process submits and over the
 # socket front-end — and so must batch invariance (any partition of
 # samples into batches gives the one-sample bits, for every engine and
-# rounding scheme). `--router-smoke` additionally runs the replica-fleet
-# failover soak (kill + same-port restart under load) at each thread
-# count.
+# rounding scheme), and so must integer routing over random geometries
+# (capsule dims across the 8-word lane, `s > 1` positions).
+# `--router-smoke` additionally runs the replica-fleet failover soak
+# (kill + same-port restart under load) at each thread count.
 for t in 1 2 7; do
   QCN_NUM_THREADS=$t cargo test -q --test integer_inference_equivalence
   QCN_NUM_THREADS=$t cargo test -q --test serving_determinism
   QCN_NUM_THREADS=$t cargo test -q --test serving_net_equivalence
   QCN_NUM_THREADS=$t cargo test -q --test batch_invariance
+  QCN_NUM_THREADS=$t cargo test -q --test routing_geometry
   if [[ "${1:-}" == "--router-smoke" ]]; then
     QCN_NUM_THREADS=$t cargo test -q --test router_failover
   fi

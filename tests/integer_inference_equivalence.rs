@@ -208,6 +208,16 @@ fn load_proves_accumulator_widths() {
     let config = ModelQuant::uniform(3, 15, RoundingScheme::RoundToNearest);
     let engine = IntModel::load(&desc, &pack_model(&model, &config)).unwrap();
     assert_eq!(engine.accumulator_widths()[1], vec![Some(AccWidth::I64)]);
+    // Routing (L3 only) sums at most max(ti, dd)·2^(2·Q_DR): with ti = 128
+    // that fits i32 at Q_DR 4 (2^15) but not at Q_DR 14 (2^35).
+    for (dr, width) in [(4, AccWidth::I32), (14, AccWidth::I64)] {
+        let mut config = shallow_config(RoundingScheme::RoundToNearest);
+        for lq in &mut config.layers {
+            lq.dr_frac = Some(dr);
+        }
+        let engine = IntModel::load(&desc, &pack_model(&model, &config)).unwrap();
+        assert_eq!(engine.routing_widths(), vec![vec![], vec![], vec![width]]);
+    }
 }
 
 #[test]
