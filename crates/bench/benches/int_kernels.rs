@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the raw-integer inference kernels —
 //! the deployment-datapath counterparts of the f32 kernels in
 //! `benches/kernels.rs`, at the same problem sizes so the two reports
-//! read side by side: integer convolution and the batch-major
+//! read side by side: integer convolution (plus ShallowCaps-S's
+//! PrimaryCaps convolution as served) and the batch-major
 //! capsule-vote GEMM on both accumulator widths, the dynamic-routing loop
 //! in both unit modes, and the shift-based requantization epilogue per
 //! rounding scheme.
@@ -13,7 +14,7 @@ use qcn_intinfer::epilogue::KeyedRequant;
 use qcn_intinfer::kernels::{caps_votes, conv2d, AccWidth, LinearWeights};
 use qcn_intinfer::routing::{route_per_sample_raw, RoutePlan, RoutingSpec};
 use qcn_intinfer::{IntTensor, UnitMode};
-use qcn_tensor::conv::Conv2dSpec;
+use qcn_tensor::conv::{Conv2dSpec, PatchTable};
 use std::hint::black_box;
 
 /// Deterministic raw words on a `frac`-bit grid, spread over a few integer
@@ -33,7 +34,7 @@ fn bench_int_conv2d(c: &mut Criterion) {
         Some(&raw_values(32, 5, 3)),
         32,
     );
-    let spec = Conv2dSpec::new(3, 3, 1, 1);
+    let patches = PatchTable::new(16, 16, 16, Conv2dSpec::new(3, 3, 1, 1));
     let acc = x.frac() + 5;
     let rq = KeyedRequant::new(
         acc,
@@ -44,7 +45,20 @@ fn bench_int_conv2d(c: &mut Criterion) {
     for width in [AccWidth::I32, AccWidth::I64] {
         c.bench_function(
             &format!("int conv2d 8x16x16x16 -> 32ch 3x3 ({width:?}, no epilogue)"),
-            |b| b.iter(|| conv2d(black_box(&x), 0, &weights, 32, spec, width, &mut out, None)),
+            |b| {
+                b.iter(|| {
+                    conv2d(
+                        black_box(&x),
+                        0,
+                        &weights,
+                        32,
+                        &patches,
+                        width,
+                        &mut out,
+                        None,
+                    )
+                })
+            },
         );
         c.bench_function(
             &format!("int conv2d 8x16x16x16 -> 32ch 3x3 ({width:?}, fused requant)"),
@@ -55,10 +69,44 @@ fn bench_int_conv2d(c: &mut Criterion) {
                         0,
                         &weights,
                         32,
-                        spec,
+                        &patches,
                         width,
                         &mut out,
                         Some(&epi),
+                    )
+                })
+            },
+        );
+    }
+}
+
+fn bench_int_primary_caps(c: &mut Criterion) {
+    // ShallowCaps-S L2 (PrimaryCaps) as served: the L1 output, 24 channels
+    // of 12×12, into 8 types × 4 dims by a 5×5 kernel at stride 2 — the
+    // i16 `vpmaddwd` kernel with table-gather packing.
+    let patches = PatchTable::new(24, 12, 12, Conv2dSpec::new(5, 5, 2, 0));
+    let weights = LinearWeights::conv(
+        &raw_values(32 * 24 * 5 * 5, 5, 7),
+        Some(&raw_values(32, 5, 8)),
+        32,
+    );
+    for b in [1, 4] {
+        let x = IntTensor::from_raw(raw_values(b * 24 * 12 * 12, 5, 9), vec![b, 24, 12, 12], 5);
+        assert_eq!(weights.acc_width(-64, 64, 5), AccWidth::I32);
+        let mut out = vec![0i64; b * 32 * 4 * 4];
+        c.bench_function(
+            &format!("int conv PrimaryCaps 24x12x12 -> 32 k5 s2 (I32) b{b}"),
+            |bch| {
+                bch.iter(|| {
+                    conv2d(
+                        black_box(&x),
+                        0,
+                        &weights,
+                        32,
+                        &patches,
+                        AccWidth::I32,
+                        &mut out,
+                        None,
                     )
                 })
             },
@@ -135,6 +183,6 @@ fn bench_shift_requant(c: &mut Criterion) {
 criterion_group! {
     name = int_kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_int_conv2d, bench_int_caps_votes, bench_int_routing, bench_shift_requant
+    targets = bench_int_conv2d, bench_int_primary_caps, bench_int_caps_votes, bench_int_routing, bench_shift_requant
 }
 criterion_main!(int_kernels);

@@ -13,7 +13,7 @@
 //! cannot change a bit either.
 
 use crate::tensor::IntTensor;
-use qcn_tensor::conv::{conv2d_implicit, Conv2dSpec, ConvInput};
+use qcn_tensor::conv::{ConvInput, PatchTable};
 use qcn_tensor::{batched_gemm, RowEpilogue};
 use std::borrow::Cow;
 
@@ -190,13 +190,23 @@ pub(crate) fn raw_range(values: &[i64]) -> (i64, i64) {
     (lo, hi)
 }
 
-/// Narrows a word the accumulator proof has bounded to 16 bits.
-fn narrow(v: &i64) -> i16 {
-    i16::try_from(*v).expect("the accumulator proof bounds inputs to 16 bits")
+/// Appends `src` to `dst` as `i16` words, which the accumulator proof has
+/// bounded to 16 bits. The bound is checked over the whole slice first,
+/// so the narrowing itself is a plain vectorizable cast.
+fn narrow_into(dst: &mut Vec<i16>, src: &[i64]) {
+    let (lo, hi) = raw_range(src);
+    assert!(
+        i16::try_from(lo).is_ok() && i16::try_from(hi).is_ok(),
+        "the accumulator proof bounds inputs to 16 bits"
+    );
+    dst.extend(src.iter().map(|&v| v as i16));
 }
 
 /// Integer 2-D convolution of input channels `c0..c0 + ci` of `x` (`[b, c,
 /// h, w]`), with zero padding, into `out` (`[b, co, oh, ow]`, overwritten).
+/// `patches` is the geometry's [`PatchTable`] — `ci` channels of `h × w`
+/// under the layer's spec — built once when the model is loaded; packing
+/// the convolution's panels is a gather through it.
 ///
 /// The bias (at the weights' fractional width) is widened by `x.frac` so
 /// it lands on the accumulator grid exactly; then each output row of each
@@ -208,21 +218,23 @@ fn narrow(v: &i64) -> i16 {
 ///
 /// # Panics
 ///
-/// Panics on geometry mismatches, or when `width` is `I32` and an input
-/// or weight does not fit 16 bits.
+/// Panics on geometry mismatches (including a `patches` built for another
+/// image), or when `width` is `I32` and an input or weight does not fit
+/// 16 bits.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     x: &IntTensor,
     c0: usize,
     weights: &LinearWeights,
     co: usize,
-    spec: Conv2dSpec,
+    patches: &PatchTable,
     width: AccWidth,
     out: &mut [i64],
     epi: Option<RowEpilogue<'_, i64>>,
 ) {
     assert_eq!(x.rank(), 4, "conv input must be [b, c, h, w]");
     let (b, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+    let spec = patches.spec();
     let ci = weights.weights.len() / (co * spec.kh * spec.kw).max(1);
     assert!(c0 + ci <= c, "conv channel range out of bounds");
     let (oh, ow) = spec.output_hw(h, w);
@@ -243,10 +255,10 @@ pub fn conv2d(
         (AccWidth::I32, Words::Narrow(wn)) => {
             let mut dense = Vec::with_capacity(b * ci * plane);
             for t in 0..b {
-                dense.extend(xd[t * c * plane..(t * c + ci) * plane].iter().map(narrow));
+                narrow_into(&mut dense, &xd[t * c * plane..(t * c + ci) * plane]);
             }
             let input = ConvInput::dense(&dense, [b, ci, h, w]);
-            conv2d_implicit(input, wn, co, spec, out, per_row);
+            patches.conv2d(input, wn, co, out, per_row);
         }
         (AccWidth::I32, Words::Wide(_)) => panic!("the i32 path needs 16-bit weights"),
         (AccWidth::I64, ws) => {
@@ -258,7 +270,7 @@ pub fn conv2d(
                 w,
                 batch_stride: c * plane,
             };
-            conv2d_implicit(input, &ws.wide(), co, spec, out, per_row);
+            patches.conv2d(input, &ws.wide(), co, out, per_row);
         }
     }
 }
@@ -315,7 +327,8 @@ pub fn caps_votes(
     };
     match (width, &weights.weights) {
         (AccWidth::I32, Words::Narrow(wn)) => {
-            let narrowed: Vec<i16> = x.data().iter().map(narrow).collect();
+            let mut narrowed = Vec::with_capacity(x.data().len());
+            narrow_into(&mut narrowed, x.data());
             let u = capsule_major(&narrowed, b, ni, di);
             batched_gemm(&u, wn, out.data_mut(), b, di, n, per_batch);
         }

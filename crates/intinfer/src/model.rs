@@ -11,7 +11,7 @@ use qcn_capsnet::descriptor::{BlockDesc, GroupDesc, LayerDesc, ModelDesc};
 use qcn_capsnet::layers::Activation;
 use qcn_capsnet::{argmax_caps, ModelQuant, QuantCtx};
 use qcn_fixed::QFormat;
-use qcn_tensor::conv::Conv2dSpec;
+use qcn_tensor::conv::{Conv2dSpec, PatchTable};
 use qcn_tensor::{RowEpilogue, Tensor};
 use std::fmt;
 
@@ -215,17 +215,44 @@ fn layer_ops(layer: &LayerDesc, raw: &[i64], x_frac: Option<u8>) -> Vec<LinearOp
     }
 }
 
-/// One primitive layer's executable form: its linear ops and, for a
-/// routing layer, the routing plan proved at load.
+/// The channels one convolution of `layer` reads and its spec; `None`
+/// for a layer without convolutions.
+fn conv_geometry(layer: &LayerDesc) -> Option<(usize, Conv2dSpec)> {
+    match *layer {
+        LayerDesc::Conv2d {
+            in_channels, spec, ..
+        }
+        | LayerDesc::PrimaryCaps {
+            in_channels, spec, ..
+        }
+        | LayerDesc::ConvCaps {
+            in_channels, spec, ..
+        } => Some((in_channels, spec)),
+        LayerDesc::ConvCapsRouting { in_dim, spec, .. } => Some((in_dim, spec)),
+        LayerDesc::CapsFc { .. } => None,
+    }
+}
+
+/// One primitive layer's executable form: its linear ops, the patch table
+/// its convolutions share and, for a routing layer, the routing plan
+/// proved at load.
 #[derive(Debug, Clone)]
 struct LoadedLayer {
     ops: Vec<LinearOp>,
+    patches: Option<PatchTable>,
     route: Option<RoutePlan>,
 }
 
 impl LoadedLayer {
-    /// Loads `layer` from its raw weights; a routing layer routes at `dr`.
-    fn new(layer: &LayerDesc, raw: &[i64], x_frac: Option<u8>, dr: u8) -> Self {
+    /// Loads `layer` from its raw weights for an `hw`-sized input; a
+    /// routing layer routes at `dr`. Returns the layer and its output size.
+    fn new(
+        layer: &LayerDesc,
+        raw: &[i64],
+        x_frac: Option<u8>,
+        dr: u8,
+        hw: (usize, usize),
+    ) -> (Self, (usize, usize)) {
         let route = match *layer {
             LayerDesc::ConvCapsRouting {
                 in_types, out_dim, ..
@@ -235,14 +262,26 @@ impl LoadedLayer {
             } => Some(RoutePlan::new(in_caps, out_dim, dr)),
             _ => None,
         };
-        LoadedLayer {
+        let patches = conv_geometry(layer).map(|(c, spec)| PatchTable::new(c, hw.0, hw.1, spec));
+        let out_hw = patches
+            .as_ref()
+            .map_or(hw, |p| p.spec().output_hw(hw.0, hw.1));
+        let loaded = LoadedLayer {
             ops: layer_ops(layer, raw, x_frac),
+            patches,
             route,
-        }
+        };
+        (loaded, out_hw)
     }
 
     fn route(&self) -> &RoutePlan {
         self.route.as_ref().expect("routing layers carry a plan")
+    }
+
+    fn patches(&self) -> &PatchTable {
+        self.patches
+            .as_ref()
+            .expect("convolution layers carry a patch table")
     }
 }
 
@@ -376,8 +415,10 @@ impl IntModel {
         let raws = unpack_raw_weights(packed);
         let mut groups = Vec::with_capacity(desc.groups.len());
         // Fractional width of the current group input: `None` for the
-        // model input, then each group's stored activation width.
+        // model input, then each group's stored activation width. `hw` is
+        // its spatial size, which the patch tables are built for.
         let mut x_frac = None;
+        let mut hw = (desc.image_side, desc.image_side);
         for (((name, gdesc), lq), raw) in desc.groups.iter().zip(&packed.config.layers).zip(raws) {
             let weight = lq
                 .weight_frac
@@ -402,7 +443,9 @@ impl IntModel {
             let layers = match gdesc {
                 GroupDesc::Layer(layer) => {
                     let dr = lq.dr_frac.unwrap_or(act);
-                    vec![LoadedLayer::new(layer, &flat, x_frac, dr)]
+                    let (loaded, out_hw) = LoadedLayer::new(layer, &flat, x_frac, dr, hw);
+                    hw = out_hw;
+                    vec![loaded]
                 }
                 GroupDesc::Block(block) => {
                     let stream = stream.ok_or(LoadError::MissingWidth {
@@ -413,11 +456,11 @@ impl IntModel {
                     let (main1, at) = weights_of(&block.main1, 0);
                     let (main2, at) = weights_of(&block.main2, at);
                     let (skip, _) = weights_of(&block.skip, at);
-                    vec![
-                        LoadedLayer::new(&block.main1, main1, x_frac, dr),
-                        LoadedLayer::new(&block.main2, main2, Some(stream), dr),
-                        LoadedLayer::new(&block.skip, skip, x_frac, dr),
-                    ]
+                    let (main1, hw1) = LoadedLayer::new(&block.main1, main1, x_frac, dr, hw);
+                    let (main2, hw2) = LoadedLayer::new(&block.main2, main2, Some(stream), dr, hw1);
+                    let (skip, _) = LoadedLayer::new(&block.skip, skip, x_frac, dr, hw);
+                    hw = hw2;
+                    vec![main1, main2, skip]
                 }
             };
             groups.push(LoadedGroup {
@@ -593,17 +636,17 @@ fn run_layer(
 ) -> IntTensor {
     let ops = &loaded.ops;
     let acc = x.frac() + w_frac;
-    // A convolution of `x`'s channels from `c0` by `op` into a fresh
-    // `[b, co, oh, ow]` tensor at `frac`.
-    let conv = |op: &LinearOp, co: usize, spec, frac, epi: Option<RowEpilogue<'_, i64>>| {
-        let (oh, ow) = Conv2dSpec::output_hw(&spec, x.dims()[2], x.dims()[3]);
+    // A convolution of `x` by `op` into a fresh `[b, co, oh, ow]` tensor
+    // at `frac`, its geometry taken from the layer's patch table.
+    let conv = |op: &LinearOp, co: usize, frac, epi: Option<RowEpilogue<'_, i64>>| {
+        let (oh, ow) = loaded.patches().spec().output_hw(x.dims()[2], x.dims()[3]);
         let mut y = IntTensor::zeros(vec![x.dims()[0], co, oh, ow], frac);
         conv2d(
             &x,
             0,
             &op.weights,
             co,
-            spec,
+            loaded.patches(),
             op.width_for(&x),
             y.data_mut(),
             epi,
@@ -613,11 +656,10 @@ fn run_layer(
     match layer {
         LayerDesc::Conv2d {
             out_channels,
-            spec,
             activation,
             ..
         } => {
-            let (oh, ow) = spec.output_hw(x.dims()[2], x.dims()[3]);
+            let (oh, ow) = loaded.patches().spec().output_hw(x.dims()[2], x.dims()[3]);
             let len = x.dims()[0] * out_channels * oh * ow;
             let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
             let act = *activation;
@@ -630,14 +672,12 @@ fn run_layer(
                 }
                 rq.apply_raw(off, row);
             };
-            conv(&ops[0], *out_channels, *spec, out_frac, Some(&epi))
+            conv(&ops[0], *out_channels, out_frac, Some(&epi))
         }
-        LayerDesc::PrimaryCaps {
-            types, dim, spec, ..
-        } => {
+        LayerDesc::PrimaryCaps { types, dim, .. } => {
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-            let (oh, ow) = spec.output_hw(h, w);
-            let y = conv(&ops[0], types * dim, *spec, acc, None);
+            let (oh, ow) = loaded.patches().spec().output_hw(h, w);
+            let y = conv(&ops[0], types * dim, acc, None);
             let mut caps = y
                 .reshape(vec![b, *types, *dim, oh * ow])
                 .permute(&[0, 1, 3, 2])
@@ -649,22 +689,18 @@ fn run_layer(
             caps
         }
         LayerDesc::ConvCaps {
-            types,
-            dim,
-            spec,
-            squash,
-            ..
+            types, dim, squash, ..
         } => {
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-            let (oh, ow) = spec.output_hw(h, w);
+            let (oh, ow) = loaded.patches().spec().output_hw(h, w);
             // The reference binds the epilogue before branching on squash.
             let len = b * types * dim * oh * ow;
             let rq = KeyedRequant::bind(ctx, acc, out_frac, len);
             if !squash {
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
-                return conv(&ops[0], types * dim, *spec, out_frac, Some(&epi));
+                return conv(&ops[0], types * dim, out_frac, Some(&epi));
             }
-            let y = conv(&ops[0], types * dim, *spec, acc, None);
+            let y = conv(&ops[0], types * dim, acc, None);
             let mut grouped = y.reshape(vec![b, *types, *dim, oh * ow]);
             let scratch = &mut UnitScratch::default();
             squash_blocks_requant(mode, grouped.data_mut(), acc, *dim, oh * ow, &rq, scratch);
@@ -676,11 +712,11 @@ fn run_layer(
             in_dim,
             out_types,
             out_dim,
-            spec,
             iters,
+            ..
         } => {
             let (b, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-            let (oh, ow) = spec.output_hw(h, w);
+            let (oh, ow) = loaded.patches().spec().output_hw(h, w);
             let s_spatial = oh * ow;
             let out_ch = out_types * out_dim;
             let plan = loaded.route();
@@ -702,7 +738,7 @@ fn run_layer(
                     ti * in_dim,
                     &op.weights,
                     out_ch,
-                    *spec,
+                    loaded.patches(),
                     width,
                     v_t,
                     Some(&epi),

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use qcn_capsnet::layers::caps_votes_infer;
 use qcn_intinfer::kernels::{caps_votes, conv2d, AccWidth, LinearWeights};
 use qcn_intinfer::{raw_to_f32, IntTensor};
-use qcn_tensor::conv::{conv2d as conv2d_f32, Conv2dSpec};
+use qcn_tensor::conv::{conv2d as conv2d_f32, Conv2dSpec, PatchTable};
 use qcn_tensor::parallel::with_threads;
 use qcn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -99,6 +99,7 @@ proptest! {
         let weights = LinearWeights::conv(&w, bias, co);
         let spec = Conv2dSpec::new(k, k, stride, pad);
         let (oh, ow) = spec.output_hw(side, side);
+        let patches = PatchTable::new(ci, side, side, spec);
         // The reference reads the channel range as a tensor of its own.
         let plane = side * side;
         let xs: Vec<i64> = (0..b)
@@ -115,7 +116,7 @@ proptest! {
         for width in [AccWidth::I32, AccWidth::I64] {
             let mut out = vec![0i64; b * co * oh * ow];
             with_threads(threads, || {
-                conv2d(&x, c0, &weights, co, spec, width, &mut out, Some(&mark));
+                conv2d(&x, c0, &weights, co, &patches, width, &mut out, Some(&mark));
             });
             prop_assert_eq!(&out, &want, "{:?} geometry {:?}", width, g);
         }
@@ -169,7 +170,7 @@ fn wide_weights_run_on_the_i64_path() {
         0,
         &weights,
         co,
-        spec,
+        &PatchTable::new(ci, side, side, spec),
         AccWidth::I64,
         &mut out,
         Some(&mark),

@@ -9,7 +9,9 @@
 //! batch·output-row blocks, each block computed by the serial cache-blocked
 //! kernel — so every result is bit-identical for every thread count.
 
-use crate::linalg::{gemm, gemm_serial_with, pack_matrix_panel, panel_scratch, transpose_block};
+use crate::linalg::{
+    gemm, gemm_serial_with, min_items, pack_matrix_panel, panel_scratch, transpose_block,
+};
 use crate::{parallel, GemmElem, RowEpilogue, Tensor};
 
 /// Static description of a 2-D convolution (kernel geometry and padding).
@@ -377,8 +379,10 @@ fn batched_gemm_shared_lhs<E: GemmElem>(
     if m == 0 || n == 0 {
         return;
     }
-    let min_items = (65_536 / (k * n).max(1)).max(1);
-    parallel::par_split_mut(out, n, min_items, |items, block| {
+    // Only spawn a worker for at least ~64k float multiply-adds of work
+    // (more for `i16`'s cheaper words).
+    let min_rows = min_items::<E>(k * n, (65_536 / (k * n).max(1)).max(1));
+    parallel::par_split_mut(out, n, min_rows, |items, block| {
         let mut scratch = panel_scratch();
         let mut idx = items.start;
         let mut off = 0;
@@ -462,31 +466,16 @@ pub fn conv2d_implicit<E: GemmElem>(
     out: &mut [E::Out],
     per_row: impl Fn(usize, &mut [E::Out]) + Sync,
 ) {
-    let ConvInput {
-        data,
-        batch,
-        channels,
-        h,
-        w,
-        batch_stride,
-    } = x;
-    let (oh, ow) = spec.output_hw(h, w);
-    let rows = channels * spec.kh * spec.kw;
-    let ncols = oh * ow;
-    let chw = channels * h * w;
-    assert_eq!(weight.len(), co * rows, "conv weight count mismatch");
-    assert_eq!(out.len(), batch * co * ncols, "conv output size mismatch");
-    assert!(
-        batch == 0 || (batch - 1) * batch_stride + chw <= data.len(),
-        "conv input is shorter than its geometry"
-    );
-    let meta = pack_rows(channels, h, w, oh, ow, spec);
+    let (oh, ow) = spec.output_hw(x.h, x.w);
+    let chw = check_conv_buffers(&x, weight, co, spec, oh * ow, out);
+    let meta = pack_rows(x.channels, x.h, x.w, oh, ow, spec);
+    let (data, batch_stride, w) = (x.data, x.batch_stride, x.w);
     batched_gemm_shared_lhs(
         weight,
         out,
         co,
-        rows,
-        ncols,
+        x.channels * spec.kh * spec.kw,
+        oh * ow,
         |t, l0, l1, j, wc, wpad, bpack| {
             pack_input_panel(
                 &data[t * batch_stride..t * batch_stride + chw],
@@ -504,6 +493,212 @@ pub fn conv2d_implicit<E: GemmElem>(
         },
         per_row,
     );
+}
+
+/// Checks a convolution's buffers against its geometry; returns the words
+/// one image spans (`channels·h·w`).
+fn check_conv_buffers<E: GemmElem>(
+    x: &ConvInput<'_, E>,
+    weight: &[E],
+    co: usize,
+    spec: Conv2dSpec,
+    ncols: usize,
+    out: &[E::Out],
+) -> usize {
+    let chw = x.channels * x.h * x.w;
+    assert_eq!(
+        weight.len(),
+        co * x.channels * spec.kh * spec.kw,
+        "conv weight count mismatch"
+    );
+    assert_eq!(out.len(), x.batch * co * ncols, "conv output size mismatch");
+    assert!(
+        x.batch == 0 || (x.batch - 1) * x.batch_stride + chw <= x.data.len(),
+        "conv input is shorter than its geometry"
+    );
+    chw
+}
+
+/// The image offset of every element of one convolution geometry's
+/// implicit im2col matrix, built once so packing a panel is a plain table
+/// gather instead of per-row segment arithmetic.
+///
+/// Entry `l·oh·ow + p` is where row `l` (`(ch·kh + ki)·kw + kj`) of output
+/// pixel `p` reads its image (`[channels, h, w]` flattened), or
+/// `channels·h·w`, one past the image, for a padding position, which
+/// reads as zero. Offsets are `u16` when the image has fewer than 65 535
+/// words (every layer of the model zoo), `u32` otherwise.
+///
+/// # Examples
+///
+/// ```
+/// use qcn_tensor::conv::{Conv2dSpec, ConvInput, PatchTable};
+///
+/// // One 1×3×3 image, a 2×2 kernel: out[p] = Σ window(p).
+/// let table = PatchTable::new(1, 3, 3, Conv2dSpec::new(2, 2, 1, 0));
+/// let x: Vec<i64> = (1..=9).collect();
+/// let mut out = vec![0i64; 4];
+/// table.conv2d(ConvInput::dense(&x, [1, 1, 3, 3]), &[1; 4], 1, &mut out, |_, _| {});
+/// assert_eq!(out, [12, 16, 24, 28]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PatchTable {
+    channels: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    /// Output pixels, `oh·ow`: the length of one table row.
+    ncols: usize,
+    offsets: PatchOffsets,
+}
+
+/// The offsets of a [`PatchTable`] at the narrowest word that holds them.
+#[derive(Debug, Clone)]
+enum PatchOffsets {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl PatchTable {
+    /// Builds the table of a `[channels, h, w]` image under `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel does not fit the padded image, or the image
+    /// has more than `u32::MAX` words.
+    pub fn new(channels: usize, h: usize, w: usize, spec: Conv2dSpec) -> Self {
+        let (oh, ow) = spec.output_hw(h, w);
+        let (ncols, khw) = (oh * ow, spec.kh * spec.kw);
+        let chw = channels * h * w;
+        let (s, p) = (spec.stride, spec.padding);
+        // Entry `i` is row `l = i / ncols` at output pixel `i % ncols`.
+        let offset = move |i: usize| {
+            let (l, px) = (i / ncols, i % ncols);
+            let (ch, ki, kj) = (l / khw, l % khw / spec.kw, l % spec.kw);
+            let ii = (px / ow * s + ki).wrapping_sub(p);
+            let jj = (px % ow * s + kj).wrapping_sub(p);
+            if ii < h && jj < w {
+                (ch * h + ii) * w + jj
+            } else {
+                chw
+            }
+        };
+        let entries = 0..channels * khw * ncols;
+        let offsets = if chw < usize::from(u16::MAX) {
+            PatchOffsets::Narrow(entries.map(|i| offset(i) as u16).collect())
+        } else {
+            assert!(
+                u32::try_from(chw).is_ok(),
+                "image too large for a patch table"
+            );
+            PatchOffsets::Wide(entries.map(|i| offset(i) as u32).collect())
+        };
+        PatchTable {
+            channels,
+            h,
+            w,
+            spec,
+            ncols,
+            offsets,
+        }
+    }
+
+    /// The convolution geometry the table was built for.
+    pub fn spec(&self) -> Conv2dSpec {
+        self.spec
+    }
+
+    /// Bytes the offsets occupy.
+    pub fn bytes(&self) -> usize {
+        match &self.offsets {
+            PatchOffsets::Narrow(o) => o.len() * 2,
+            PatchOffsets::Wide(o) => o.len() * 4,
+        }
+    }
+
+    /// Packs the `l0..l1 × j..j+wc` panel of `img`'s implicit im2col
+    /// matrix into `bpack`, each row zero-padded to `wpad`: exactly what
+    /// [`pack_input_panel`] packs.
+    #[allow(clippy::too_many_arguments)]
+    fn pack<E: Copy + Default>(
+        &self,
+        img: &[E],
+        l0: usize,
+        l1: usize,
+        j: usize,
+        wc: usize,
+        wpad: usize,
+        bpack: &mut [E],
+    ) {
+        let ncols = self.ncols;
+        match &self.offsets {
+            PatchOffsets::Narrow(o) => gather(img, o, ncols, l0, l1, j, wc, wpad, bpack),
+            PatchOffsets::Wide(o) => gather(img, o, ncols, l0, l1, j, wc, wpad, bpack),
+        }
+    }
+
+    /// [`conv2d_implicit`] with this table's geometry, packing panels by
+    /// table gather: the same output bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x`'s image geometry is not the table's, or the buffers
+    /// disagree with it.
+    pub fn conv2d<E: GemmElem>(
+        &self,
+        x: ConvInput<'_, E>,
+        weight: &[E],
+        co: usize,
+        out: &mut [E::Out],
+        per_row: impl Fn(usize, &mut [E::Out]) + Sync,
+    ) {
+        assert_eq!(
+            (x.channels, x.h, x.w),
+            (self.channels, self.h, self.w),
+            "conv input does not match its patch table"
+        );
+        let spec = self.spec;
+        let chw = check_conv_buffers(&x, weight, co, spec, self.ncols, out);
+        let (data, batch_stride) = (x.data, x.batch_stride);
+        batched_gemm_shared_lhs(
+            weight,
+            out,
+            co,
+            x.channels * spec.kh * spec.kw,
+            self.ncols,
+            |t, l0, l1, j, wc, wpad, bpack| {
+                let img = &data[t * batch_stride..t * batch_stride + chw];
+                self.pack(img, l0, l1, j, wc, wpad, bpack);
+            },
+            per_row,
+        );
+    }
+}
+
+/// The table gather behind [`PatchTable`]: row `l` of the panel reads
+/// `img` at `offsets[l·ncols + j..][..wc]`, an offset past the image (the
+/// padding sentinel) reading zero.
+#[allow(clippy::too_many_arguments)]
+fn gather<E: Copy + Default, O: Copy + Into<u32>>(
+    img: &[E],
+    offsets: &[O],
+    ncols: usize,
+    l0: usize,
+    l1: usize,
+    j: usize,
+    wc: usize,
+    wpad: usize,
+    bpack: &mut [E],
+) {
+    for (l, dst) in (l0..l1).zip(bpack.chunks_exact_mut(wpad)) {
+        let row = &offsets[l * ncols + j..l * ncols + j + wc];
+        for (d, &o) in dst.iter_mut().zip(row) {
+            *d = img.get(o.into() as usize).copied().unwrap_or_default();
+        }
+        if wpad > wc {
+            dst[wc..].fill(E::default());
+        }
+    }
 }
 
 /// Forward 2-D convolution: `input [b, ci, h, w]`, `weight [co, ci, kh, kw]`,
@@ -897,5 +1092,147 @@ mod tests {
         let lhs = (&im2col(&x, spec) * &y).sum();
         let rhs = (&x * &col2im(&y, spec, 2, 5, 5)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// Image geometry `(channels, h, w, spec)` of every integer conv in
+    /// ShallowCaps-S and DeepCaps-S (both with one input channel at 16×16).
+    fn model_conv_geometries() -> Vec<(usize, usize, usize, Conv2dSpec)> {
+        let (s1, s2) = (Conv2dSpec::new(3, 3, 1, 1), Conv2dSpec::new(3, 3, 2, 1));
+        vec![
+            // ShallowCaps-S: L1 conv, L2 PrimaryCaps.
+            (1, 16, 16, Conv2dSpec::new(5, 5, 1, 0)),
+            (24, 12, 12, Conv2dSpec::new(5, 5, 2, 0)),
+            // DeepCaps-S: L1 conv; B2 main1/skip, main2; B3 main1, main2,
+            // and one input type of the ConvCapsRouting skip.
+            (1, 16, 16, s1),
+            (16, 16, 16, s2),
+            (16, 8, 8, s1),
+            (16, 8, 8, s2),
+            (32, 4, 4, s1),
+            (4, 8, 8, s2),
+        ]
+    }
+
+    /// Panels of `rows × ncols`: the blocked kernel's own tiling, then
+    /// ragged ones from `seed`.
+    fn panels(rows: usize, ncols: usize, seed: usize) -> Vec<(usize, usize, usize, usize)> {
+        let mut out = Vec::new();
+        for l0 in (0..rows).step_by(256) {
+            for j in (0..ncols).step_by(64) {
+                out.push((l0, (l0 + 256).min(rows), j, 64.min(ncols - j)));
+            }
+        }
+        let mut r = seed;
+        let mut next = |n: usize| {
+            r = r
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (r >> 33) % n
+        };
+        for _ in 0..8 {
+            let l0 = next(rows);
+            let l1 = l0 + 1 + next(rows - l0);
+            let j = next(ncols);
+            let wc = 1 + next(64.min(ncols - j));
+            out.push((l0, l1, j, wc));
+        }
+        out
+    }
+
+    /// The table gather packs every panel exactly as `pack_input_panel`.
+    fn assert_gather_matches_segments(c: usize, h: usize, w: usize, spec: Conv2dSpec, seed: usize) {
+        let (oh, ow) = spec.output_hw(h, w);
+        let table = PatchTable::new(c, h, w, spec);
+        let meta = pack_rows(c, h, w, oh, ow, spec);
+        // Nonzero words, so a zero in the pack can only be padding.
+        let img: Vec<i64> = (1..=(c * h * w) as i64).collect();
+        for (l0, l1, j, wc) in panels(c * spec.kh * spec.kw, oh * ow, seed) {
+            let wpad = (wc + 15) & !15;
+            let mut want = vec![-1i64; (l1 - l0) * wpad];
+            let mut got = vec![-2i64; (l1 - l0) * wpad];
+            pack_input_panel(&img, &mut want, &meta, l0, l1, j, wc, wpad, w, ow, spec);
+            table.pack(&img, l0, l1, j, wc, wpad, &mut got);
+            assert_eq!(
+                got, want,
+                "{c}x{h}x{w} {spec:?} panel {l0}..{l1} x {j}+{wc}"
+            );
+        }
+    }
+
+    #[test]
+    fn patch_table_gather_packs_the_model_geometries_like_segments() {
+        for (i, (c, h, w, spec)) in model_conv_geometries().into_iter().enumerate() {
+            assert_gather_matches_segments(c, h, w, spec, i);
+            // Every model image fits u16 offsets: two bytes per entry.
+            let (oh, ow) = spec.output_hw(h, w);
+            let entries = c * spec.kh * spec.kw * oh * ow;
+            assert_eq!(PatchTable::new(c, h, w, spec).bytes(), 2 * entries);
+        }
+    }
+
+    #[test]
+    fn patch_table_widens_to_u32_offsets_past_u16_images() {
+        // Full-size ShallowCaps PrimaryCaps: 256 channels of 20×20 is
+        // 102 400 words, past u16.
+        let (c, h, w, spec) = (256, 20, 20, Conv2dSpec::new(9, 9, 2, 0));
+        assert_gather_matches_segments(c, h, w, spec, 7);
+        let (oh, ow) = spec.output_hw(h, w);
+        let entries = c * spec.kh * spec.kw * oh * ow;
+        assert_eq!(PatchTable::new(c, h, w, spec).bytes(), 4 * entries);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn patch_table_gather_packs_like_segments(
+            c in 1usize..6,
+            hw in (1usize..14, 1usize..14),
+            khw in (1usize..6, 1usize..6),
+            stride in 1usize..4,
+            padding in 0usize..3,
+            seed in 0usize..1_000_000,
+        ) {
+            let ((h, w), (kh, kw)) = (hw, khw);
+            if h + 2 * padding >= kh && w + 2 * padding >= kw {
+                let spec = Conv2dSpec { kh, kw, stride, padding };
+                assert_gather_matches_segments(c, h, w, spec, seed);
+            }
+        }
+
+        #[test]
+        fn tabled_conv_matches_segment_conv_on_channel_ranges(
+            channels in (0usize..3, 1usize..5, 0usize..3),
+            sizes in (1usize..4, 1usize..7, 3usize..11),
+            geometry in (1usize..4, 1usize..3, 0usize..2),
+            threads in 1usize..4,
+        ) {
+            let ((c0, ci, extra), (batch, co, side)) = (channels, sizes);
+            let (k, stride, padding) = geometry;
+            // Channels `c0..c0 + ci` of a `[batch, c0 + ci + extra, side,
+            // side]` tensor, read in place: `batch_stride` is wider than
+            // the image.
+            let c = c0 + ci + extra;
+            let plane = side * side;
+            let spec = Conv2dSpec::new(k, k, stride, padding);
+            let (oh, ow) = spec.output_hw(side, side);
+            let data: Vec<i16> = (0..batch * c * plane).map(|i| (i * 37 % 201) as i16 - 100).collect();
+            let weight: Vec<i16> = (0..co * ci * k * k).map(|i| (i * 11 % 41) as i16 - 20).collect();
+            let x = ConvInput {
+                data: &data[c0 * plane..],
+                batch,
+                channels: ci,
+                h: side,
+                w: side,
+                batch_stride: c * plane,
+            };
+            let mark = |idx: usize, row: &mut [i64]| row.iter_mut().for_each(|v| *v += idx as i64);
+            let mut want = vec![0i64; batch * co * oh * ow];
+            let mut got = vec![7i64; batch * co * oh * ow];
+            conv2d_implicit(x, &weight, co, spec, &mut want, mark);
+            let table = PatchTable::new(ci, side, side, spec);
+            with_threads(threads, || table.conv2d(x, &weight, co, &mut got, mark));
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -36,7 +36,9 @@ pub type RowEpilogue<'a, T = f32> = &'a (dyn Fn(usize, &mut [T]) + Sync);
 /// * `f32` accumulates with [`crate::fmadd`] into `f32` — the float path.
 /// * `i16` multiplies into `i32` and stores `i64`: exact whenever every
 ///   partial sum fits `i32`, which the caller proves before choosing it.
-///   A debug build panics on overflow instead of wrapping.
+///   A debug build of the portable kernel panics on overflow instead of
+///   wrapping. On AVX2 targets its tiles run a `vpmaddwd` kernel instead
+///   (see [`GemmElem::tile`]).
 /// * `i64` accumulates and stores `i64` — the integer fallback.
 ///
 /// Integer addition is associative, so the integer instantiations give the
@@ -46,8 +48,37 @@ pub trait GemmElem: Copy + Default + Send + Sync + 'static {
     type Acc: Copy + Default;
     /// The output word the accumulator is widened into.
     type Out: Copy + Send + Sync + AddAssign + From<Self::Acc>;
+    /// The fewest multiply-adds worth handing to a spawned worker, or
+    /// `None` to keep each kernel's float threshold. `i16` sets its own:
+    /// its `vpmaddwd` tile does a multiply-add for far less than an `f32`
+    /// one, so a thread spawn needs more of them to pay for itself.
+    const WORKER_MACS: Option<usize> = None;
     /// `acc + a·b`.
     fn mac(a: Self, b: Self, acc: Self::Acc) -> Self::Acc;
+
+    /// Computes one `MR_ × W` output tile of the blocked product: the
+    /// panel `l0..l1` of rows `i0..` of `a` (`m × k`) times the packed
+    /// panel `bpack` (`W` words per `l`), into columns `j0..j0 + w` of
+    /// `out` (`n` wide), stored when `STORE` and added otherwise. The
+    /// default is the portable register-tile kernel. An override must
+    /// give the same output bits: `i16` swaps in a SIMD kernel on AVX2
+    /// targets and keeps the default as its oracle.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn tile<const MR_: usize, const W: usize, const STORE: bool>(
+        a: &[Self],
+        bpack: &[Self],
+        out: &mut [Self::Out],
+        i0: usize,
+        j0: usize,
+        w: usize,
+        l0: usize,
+        l1: usize,
+        k: usize,
+        n: usize,
+    ) {
+        micro_kernel::<Self, MR_, W, STORE>(a, bpack, out, i0, j0, w, l0, l1, k, n);
+    }
 }
 
 impl GemmElem for f32 {
@@ -62,9 +93,29 @@ impl GemmElem for f32 {
 impl GemmElem for i16 {
     type Acc = i32;
     type Out = i64;
+    const WORKER_MACS: Option<usize> = Some(1 << 20);
     #[inline(always)]
     fn mac(a: i16, b: i16, acc: i32) -> i32 {
         acc + i32::from(a) * i32::from(b)
+    }
+
+    #[cfg(target_feature = "avx2")]
+    #[inline(always)]
+    fn tile<const MR_: usize, const W: usize, const STORE: bool>(
+        a: &[i16],
+        bpack: &[i16],
+        out: &mut [i64],
+        i0: usize,
+        j0: usize,
+        w: usize,
+        l0: usize,
+        l1: usize,
+        k: usize,
+        n: usize,
+    ) {
+        // SAFETY: this override is compiled only when the build enables
+        // AVX2, so every CPU the binary runs on has the instructions.
+        unsafe { madd::tile::<MR_, W, STORE>(a, bpack, out, i0, j0, w, l0, l1, k, n) };
     }
 }
 
@@ -74,6 +125,137 @@ impl GemmElem for i64 {
     #[inline(always)]
     fn mac(a: i64, b: i64, acc: i64) -> i64 {
         acc + a * b
+    }
+}
+
+/// The fewest work items a worker gets when one item costs `item_macs`
+/// multiply-adds: `E`'s [`GemmElem::WORKER_MACS`] worth, or `float_items`
+/// for an element that keeps the float thresholds.
+pub(crate) fn min_items<E: GemmElem>(item_macs: usize, float_items: usize) -> usize {
+    E::WORKER_MACS.map_or(float_items, |macs| (macs / item_macs.max(1)).max(1))
+}
+
+/// The `i16` tile on AVX2: `vpmaddwd` multiplies 16 pairs of words and
+/// adds each pair into one `i32` lane, so one instruction takes two `l`
+/// steps of eight columns.
+///
+/// Per 16-column chunk of the panel, rows `l` and `l + 1` are interleaved
+/// in registers (`vpunpcklwd`/`vpunpckhwd`) so each `i32` lane holds the
+/// pair `(b[l][c], b[l+1][c])`; the matching `a` pair is broadcast as one
+/// `i32`, and `vpmaddwd` adds `a[l]·b[l][c] + a[l+1]·b[l+1][c]` into lane
+/// `c`. The unpacks work within 128-bit halves, so the `lo` accumulator
+/// holds columns 0–3 and 8–11 and `hi` holds 4–7 and 12–15; the lane order
+/// is put right once per tile, at writeback (`vperm2i128`). An odd panel
+/// depth pairs its last row with zero. The packing format is the portable
+/// kernel's: `KC` is even, so a pair never straddles two panels.
+///
+/// Exact under the caller's `i32` proof: each pair sum and each running
+/// sum is a partial sum of `Σ a·b`, which the proof bounds by
+/// `Σ|a|·max|b| ≤ i32::MAX`, so no lane wraps and the sums equal the
+/// portable kernel's.
+#[cfg(target_feature = "avx2")]
+mod madd {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Sixteen words of `s` from `at` as one vector.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load16(s: &[i16], at: usize) -> __m256i {
+        let v = &s[at..at + 16];
+        // SAFETY: `v` holds 16 `i16`s, the 32 bytes read; `loadu` needs no
+        // alignment.
+        unsafe { _mm256_loadu_si256(v.as_ptr().cast()) }
+    }
+
+    /// The word pair `(p[0], p[1])` broadcast to every `i32` lane, `p[0]`
+    /// in the low half.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pair(p: &[i16; 2]) -> __m256i {
+        // SAFETY: `p` is 4 readable bytes; `read_unaligned` needs no
+        // alignment. x86 is little-endian, so `p[0]` is the low half.
+        _mm256_set1_epi32(unsafe { p.as_ptr().cast::<i32>().read_unaligned() })
+    }
+
+    /// The tile [`super::GemmElem::tile`] computes, on `vpmaddwd`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn tile<const MR_: usize, const W: usize, const STORE: bool>(
+        a: &[i16],
+        bpack: &[i16],
+        out: &mut [i64],
+        i0: usize,
+        j0: usize,
+        w: usize,
+        l0: usize,
+        l1: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let kc = l1 - l0;
+        let npairs = kc / 2;
+        let bpack = &bpack[..kc * W];
+        let arows: [&[i16]; MR_] =
+            std::array::from_fn(|r| &a[(i0 + r) * k + l0..(i0 + r) * k + l1]);
+        let apairs: [&[[i16; 2]]; MR_] = std::array::from_fn(|r| &arows[r].as_chunks().0[..npairs]);
+        for chunk in 0..W / 16 {
+            let c0 = chunk * 16;
+            let mut lo = [_mm256_setzero_si256(); MR_];
+            let mut hi = [_mm256_setzero_si256(); MR_];
+            for (p, bgrp) in bpack.chunks_exact(2 * W).enumerate() {
+                let b0 = load16(bgrp, c0);
+                let b1 = load16(bgrp, W + c0);
+                let bl = _mm256_unpacklo_epi16(b0, b1);
+                let bh = _mm256_unpackhi_epi16(b0, b1);
+                for r in 0..MR_ {
+                    let av = pair(&apairs[r][p]);
+                    lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(bl, av));
+                    hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(bh, av));
+                }
+            }
+            if kc % 2 == 1 {
+                let b0 = load16(bpack, (kc - 1) * W + c0);
+                let zero = _mm256_setzero_si256();
+                let bl = _mm256_unpacklo_epi16(b0, zero);
+                let bh = _mm256_unpackhi_epi16(b0, zero);
+                for r in 0..MR_ {
+                    let av = pair(&[arows[r][kc - 1], 0]);
+                    lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(bl, av));
+                    hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(bh, av));
+                }
+            }
+            let cols = (w - c0).min(16);
+            for r in 0..MR_ {
+                let mut sums = [0i32; 16];
+                let (first, second) = sums.split_at_mut(8);
+                // Columns 0–7 are the low halves of `lo` and `hi`, 8–15
+                // their high halves.
+                let lanes = [
+                    _mm256_permute2x128_si256::<0x20>(lo[r], hi[r]),
+                    _mm256_permute2x128_si256::<0x31>(lo[r], hi[r]),
+                ];
+                for (dst, v) in [first, second].into_iter().zip(lanes) {
+                    // SAFETY: `dst` holds 8 `i32`s, the 32 bytes written;
+                    // `storeu` needs no alignment.
+                    unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) };
+                }
+                let at = (i0 + r) * n + j0 + c0;
+                let orow = &mut out[at..at + cols];
+                if STORE {
+                    for (o, &s) in orow.iter_mut().zip(&sums) {
+                        *o = s.into();
+                    }
+                } else {
+                    for (o, &s) in orow.iter_mut().zip(&sums) {
+                        *o += i64::from(s);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -236,9 +418,9 @@ pub(crate) fn gemm_serial_with<E: GemmElem>(
                 macro_rules! tile {
                     ($mr:literal, $w:literal) => {
                         if store && l0 == 0 {
-                            micro_kernel::<E, $mr, $w, true>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            E::tile::<$mr, $w, true>(a, bpack, out, i, j, w, l0, l1, k, n)
                         } else {
-                            micro_kernel::<E, $mr, $w, false>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            E::tile::<$mr, $w, false>(a, bpack, out, i, j, w, l0, l1, k, n)
                         }
                     };
                 }
@@ -374,9 +556,11 @@ pub fn batched_gemm<E: GemmElem>(
     );
     assert_eq!(a.len(), batches * m * k, "lhs does not match the batch");
     assert_eq!(b.len(), batches * k * n, "rhs does not match the batch");
-    // One batch per worker at minimum; each batch's product is the serial
-    // kernel, so batch order inside a worker is irrelevant.
-    parallel::par_split_mut(out, m * n, 1, |items, out_block| {
+    // One batch per worker at minimum (more for `i16`'s cheap words);
+    // each batch's product is the serial kernel, so batch order inside a
+    // worker is irrelevant.
+    let min_batches = min_items::<E>(m * k * n, 1);
+    parallel::par_split_mut(out, m * n, min_batches, |items, out_block| {
         let mut scratch = panel_scratch();
         for (off, t) in items.clone().enumerate() {
             let block = &mut out_block[off * m * n..(off + 1) * m * n];

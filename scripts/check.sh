@@ -38,6 +38,17 @@ for t in 1 2 7; do
     QCN_NUM_THREADS=$t cargo test -q -p qcn-chaos --test chaos_overhead
   fi
 done
+# Portable oracle: the build above targets the host CPU, so on AVX2 hosts
+# the i16 GEMM runs its `vpmaddwd` kernel and the portable kernel it is
+# checked against would go untested. Rebuild for baseline x86-64 (no
+# AVX2) in a target directory of its own and run the kernel suites and
+# the end-to-end equivalence on the portable path.
+if [[ "$(uname -m)" == "x86_64" ]]; then
+  RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q -p qcn-tensor -p qcn-intinfer
+  RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --test integer_inference_equivalence
+fi
 # Wire robustness: untrusted-byte decoders must fail typed, never panic.
 cargo test -q --test wire_robustness
 # Telemetry smoke: the metrics endpoint and Stats wire frame must expose
