@@ -62,3 +62,7 @@ cargo bench --no-run
 # Search-acceleration smoke: one end-to-end Algorithm 1 run, accelerated
 # vs naive, asserting the bit-identical-selection contract.
 cargo run --release -p qcn-bench --bin bench_report -- --search-smoke
+# The repository benchmark is a package of its own, outside the
+# workspace: build it and run its unit tests so a library API change
+# cannot break it unseen.
+cargo test --release --offline --locked --manifest-path qcnbench/Cargo.toml
