@@ -122,5 +122,5 @@ fn main() {
         println!("\n   greedy (weight-first): {}", describe(&full));
         println!("   Algorithm 1 ordering:  {}", describe(&r.config));
     }
-    println!("\nevaluations used: {}", eval.evaluations());
+    println!("\nevaluations used: {}", eval.stats().evaluations);
 }

@@ -58,7 +58,7 @@ fn main() {
             result.accuracy * 100.0,
             result.weight_mem_bits,
             result.act_mem_bits,
-            report.evaluations
+            report.stats.evaluations
         );
     }
 

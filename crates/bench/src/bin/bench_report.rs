@@ -12,12 +12,13 @@
 //! quoted in `docs/performance.md`. Serving, socket and router throughput
 //! are measured by the repository benchmark (`qcnbench`), not here.
 //!
-//! `bench_report --search-smoke` runs one ShallowCaps-S / RTN search and
-//! asserts that the accelerated evaluator selects exactly what the naive
-//! one does.
+//! `bench_report --search-smoke` runs the ShallowCaps-S / RTN search on
+//! the fake-quant and the integer backend, and asserts that the
+//! accelerated evaluator selects exactly what the naive one does, and the
+//! integer backend exactly what the fake-quant one does.
 
 use qcapsnets::export::pack_model;
-use qcapsnets::{run as run_framework, FrameworkConfig, Outcome, RunReport, SearchAccel};
+use qcapsnets::{run as run_framework, FrameworkConfig, RunReport, SearchAccel, StagedBackend};
 use qcn_capsnet::layers::{caps_votes_infer, caps_votes_infer_fused, CapsFc};
 use qcn_capsnet::{
     train, CapsNet, DeepCaps, DeepCapsConfig, LayerQuant, ModelQuant, QuantCtx, ShallowCaps,
@@ -28,7 +29,7 @@ use qcn_datasets::{Dataset, SynthKind};
 use qcn_fixed::{QFormat, Quantizer, RoundingScheme};
 use qcn_hwmodel::archstats;
 use qcn_hwmodel::latency::Accelerator;
-use qcn_intinfer::{IntModel, UnitMode};
+use qcn_intinfer::{snap_to_grid, IntBackend, IntModel, UnitMode};
 use qcn_telemetry::MetricValue;
 use qcn_tensor::conv::{conv2d, conv2d_fused, Conv2dSpec};
 use qcn_tensor::parallel::{current_threads, with_threads};
@@ -187,53 +188,28 @@ fn int_infer_row<M: CapsNet>(
 /// evaluator that re-ran every candidate from the input layer over the
 /// whole dataset. `identical_selection` records the exactness contract:
 /// the selected configs and reported accuracies match the naive run
-/// bit-for-bit at every thread count in {1, 2, 7}.
+/// bit-for-bit at every thread count in {1, 2, 7} (and, on the integer
+/// backend, the fake-quant run). `report` is the accelerated run, whose
+/// counters the row prints.
 struct SearchEntry {
     name: &'static str,
     scheme: RoundingScheme,
     naive_ms: f64,
     accel_ms: f64,
     naive_evals: usize,
-    accel_evals: usize,
-    memo_hits: usize,
-    prefix_hits: usize,
-    stages_skipped: usize,
-    early_exits: usize,
     identical_selection: bool,
+    report: RunReport,
 }
 
-/// Selection identity check: same Algorithm 1 path, bit-identical configs
-/// and reported accuracies.
+/// Selection identity check: same Algorithm 1 path, identical configs and
+/// reported accuracies (finite and non-negative, so `==` is bit equality).
 fn same_selection(a: &RunReport, b: &RunReport) -> bool {
-    if a.acc_fp32.to_bits() != b.acc_fp32.to_bits() || a.step1_frac != b.step1_frac {
-        return false;
-    }
-    match (&a.outcome, &b.outcome) {
-        (Outcome::Satisfied(x), Outcome::Satisfied(y)) => {
-            x.config == y.config && x.accuracy.to_bits() == y.accuracy.to_bits()
-        }
-        (
-            Outcome::Fallback {
-                memory: xm,
-                accuracy: xa,
-            },
-            Outcome::Fallback {
-                memory: ym,
-                accuracy: ya,
-            },
-        ) => {
-            xm.config == ym.config
-                && xa.config == ya.config
-                && xm.accuracy.to_bits() == ym.accuracy.to_bits()
-                && xa.accuracy.to_bits() == ya.accuracy.to_bits()
-        }
-        _ => false,
-    }
+    a.acc_fp32 == b.acc_fp32 && a.step1_frac == b.step1_frac && a.outcome == b.outcome
 }
 
-fn search_entry<M: CapsNet + Sync>(
+fn search_entry<B: StagedBackend>(
     name: &'static str,
-    model: &M,
+    backend: &B,
     ds: &Dataset,
     base: &FrameworkConfig,
     scheme: RoundingScheme,
@@ -247,47 +223,35 @@ fn search_entry<M: CapsNet + Sync>(
         scheme,
         ..base.clone()
     };
-    // Full runs take hundreds of milliseconds, so take the min over a few
+    // Full runs take hundreds of milliseconds, so take the min over three
     // passes (rather than min-of-15) to shed scheduler noise.
-    let reps = 3;
-    let mut naive_ms = f64::INFINITY;
-    let mut naive = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let r = run_framework(model, ds, &naive_config);
-        naive_ms = naive_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        naive = Some(r);
-    }
-    let naive = naive.expect("reps >= 1");
-    let mut accel_ms = f64::INFINITY;
-    let mut accel = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let r = run_framework(model, ds, &accel_config);
-        accel_ms = accel_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        accel = Some(r);
-    }
-    let accel = accel.expect("reps >= 1");
+    let timed = |config: &FrameworkConfig| {
+        let mut best_ms = f64::INFINITY;
+        let mut report = None;
+        for _ in 0..3 {
+            let start = Instant::now();
+            report = Some(run_framework(backend, ds, config));
+            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+        (report.expect("three passes"), best_ms)
+    };
+    let (naive, naive_ms) = timed(&naive_config);
+    let (accel, accel_ms) = timed(&accel_config);
     // The exactness contract, re-checked under forced pools: serial, even
     // and odd splits all reproduce the naive selection bit-for-bit.
     let identical = same_selection(&naive, &accel)
         && [1usize, 2, 7].iter().all(|&t| {
-            let r = with_threads(t, || run_framework(model, ds, &accel_config));
+            let r = with_threads(t, || run_framework(backend, ds, &accel_config));
             same_selection(&naive, &r)
         });
-    let stats = accel.stats;
     SearchEntry {
         name,
         scheme,
         naive_ms,
         accel_ms,
-        naive_evals: naive.evaluations,
-        accel_evals: accel.evaluations,
-        memo_hits: stats.memo_hits,
-        prefix_hits: stats.prefix_hits,
-        stages_skipped: stats.stages_skipped,
-        early_exits: stats.early_accepts + stats.early_rejects,
+        naive_evals: naive.stats.evaluations,
         identical_selection: identical,
+        report: accel,
     }
 }
 
@@ -359,29 +323,44 @@ fn search_base(model: &impl CapsNet) -> FrameworkConfig {
     }
 }
 
+/// The evaluation set snapped once to the Q1.7 input grid, so the
+/// fake-quant and integer backends score the same inputs.
+fn snapped(ds: &Dataset) -> Dataset {
+    let images = ds.images().map(|v| snap_to_grid(v, 7));
+    Dataset::new(images, ds.labels().to_vec(), ds.num_classes()).expect("same shape")
+}
+
 /// The `search` bench section: Algorithm 1 end to end, accelerated vs
-/// naive. `smoke` restricts to one ShallowCaps-S / RTN entry so CI can
-/// assert the exactness contract in seconds.
+/// naive, with ShallowCaps-S scored on the fake-quant and the integer
+/// (FloatExact) backend. `smoke` restricts to the ShallowCaps-S / RTN
+/// entries so CI can assert the exactness contracts in seconds.
 fn search_entries(smoke: bool) -> Vec<SearchEntry> {
     let mut entries = Vec::new();
     let (shallow, sds) = trained_shallow_s();
+    let sds = snapped(&sds);
     let sbase = search_base(&shallow);
+    let int_shallow = IntBackend::new(&shallow, shallow.descriptor(), 7, UnitMode::FloatExact);
     let schemes: &[RoundingScheme] = if smoke {
         &[RoundingScheme::RoundToNearest]
     } else {
         &RoundingScheme::EXTENDED
     };
     for &scheme in schemes {
-        entries.push(search_entry(
-            "ShallowCaps-S Algorithm 1",
-            &shallow,
+        let fake = search_entry("ShallowCaps-S Algorithm 1", &shallow, &sds, &sbase, scheme);
+        let mut int = search_entry(
+            "ShallowCaps-S Algorithm 1 (integer FloatExact)",
+            &int_shallow,
             &sds,
             &sbase,
             scheme,
-        ));
+        );
+        int.identical_selection &= same_selection(&fake.report, &int.report);
+        entries.push(fake);
+        entries.push(int);
     }
     if !smoke {
         let (deep, dds) = trained_deep_s();
+        let dds = snapped(&dds);
         let dbase = search_base(&deep);
         for scheme in [RoundingScheme::RoundToNearest, RoundingScheme::Stochastic] {
             entries.push(search_entry(
@@ -402,23 +381,28 @@ fn main() {
     // in both directions.
     qcn_telemetry::set_default_level(qcn_telemetry::Level::Info);
     if std::env::args().nth(1).as_deref() == Some("--search-smoke") {
-        qcn_telemetry::info!("bench_report", "search smoke (ShallowCaps-S, RTN only)");
+        qcn_telemetry::info!(
+            "bench_report",
+            "search smoke (ShallowCaps-S RTN, both backends)"
+        );
         for e in search_entries(true) {
             println!(
                 "{} [{}]: naive {:.0} ms / {} evals, accel {:.0} ms / {} evals \
-                 ({:.2}x), identical_selection={}",
+                 ({:.2}x), identical_selection={}, fallbacks={}",
                 e.name,
                 e.scheme,
                 e.naive_ms,
                 e.naive_evals,
                 e.accel_ms,
-                e.accel_evals,
+                e.report.stats.evaluations,
                 e.naive_ms / e.accel_ms,
-                e.identical_selection
+                e.identical_selection,
+                e.report.stats.fallbacks
             );
             assert!(
                 e.identical_selection,
-                "accelerated search diverged from the naive selection"
+                "{}: search diverged from the naive or the fake-quant selection",
+                e.name
             );
         }
         return;
@@ -566,11 +550,7 @@ fn main() {
     // operands.
     let grid_input = |dims: [usize; 4], seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Tensor::rand_uniform(dims, 0.0, 1.0, &mut rng);
-        for v in t.data_mut() {
-            *v = (*v * 32.0).round() / 32.0;
-        }
-        t
+        Tensor::rand_uniform(dims, 0.0, 1.0, &mut rng).map(|v| snap_to_grid(v, 5))
     };
     let integer = {
         let shallow = ShallowCaps::new(ShallowCapsConfig::small(1), 5);
@@ -624,6 +604,7 @@ fn main() {
     let search = search_entries(false)
         .iter()
         .map(|e| -> Row {
+            let stats = &e.report.stats;
             vec![
                 ("name", string(e.name)),
                 ("scheme", string(&e.scheme.to_string())),
@@ -631,12 +612,16 @@ fn main() {
                 ("accel_ms", num(e.accel_ms, 1)),
                 ("speedup", num(e.naive_ms / e.accel_ms, 2)),
                 ("naive_evals", e.naive_evals.to_string()),
-                ("accel_evals", e.accel_evals.to_string()),
-                ("memo_hits", e.memo_hits.to_string()),
-                ("prefix_hits", e.prefix_hits.to_string()),
-                ("stages_skipped", e.stages_skipped.to_string()),
-                ("early_exits", e.early_exits.to_string()),
+                ("accel_evals", stats.evaluations.to_string()),
+                ("memo_hits", stats.memo_hits.to_string()),
+                ("prefix_hits", stats.prefix_hits.to_string()),
+                ("stages_skipped", stats.stages_skipped.to_string()),
+                (
+                    "early_exits",
+                    (stats.early_accepts + stats.early_rejects).to_string(),
+                ),
                 ("identical_selection", e.identical_selection.to_string()),
+                ("fallbacks", stats.fallbacks.to_string()),
             ]
         })
         .collect();

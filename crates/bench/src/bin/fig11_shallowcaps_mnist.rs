@@ -84,6 +84,6 @@ fn main() {
     }
     println!(
         "evaluations: path A {} + path B {}",
-        path_a.evaluations, path_b.evaluations
+        path_a.stats.evaluations, path_b.stats.evaluations
     );
 }

@@ -51,11 +51,9 @@ pub trait CapsNet: Clone {
     /// capsules `[batch, classes, dim]`.
     fn forward(&self, g: &mut Graph, x: Var, pvars: &[Var]) -> Var;
 
-    /// Number of checkpointable stages in the staged inference pipeline.
-    ///
-    /// Both built-in architectures expose one stage per quantization group,
-    /// so this defaults to `groups().len()`; a model whose pipeline does
-    /// not split on group boundaries can override it.
+    /// Number of checkpointable stages in the staged inference pipeline:
+    /// one per quantization group, which the search's staged backend
+    /// (`qcapsnets::StagedBackend`) relies on.
     fn num_stages(&self) -> usize {
         self.groups().len()
     }
@@ -146,20 +144,10 @@ pub trait CapsNet: Clone {
     }
 }
 
-/// Stage labels for span recording, resolved only when telemetry timing
-/// is on: the quantization-group names when stages align with groups
-/// (both built-in architectures), positional `s0..` labels otherwise.
+/// Stage labels for span recording (the quantization-group names, one
+/// per stage), resolved only when telemetry timing is on.
 fn stage_names_if_enabled<M: CapsNet>(model: &M) -> Option<Vec<String>> {
-    if !qcn_telemetry::timing_enabled() {
-        return None;
-    }
-    let n = model.num_stages();
-    let groups = model.groups();
-    Some(if groups.len() == n {
-        groups.into_iter().map(|g| g.name).collect()
-    } else {
-        (0..n).map(|s| format!("s{s}")).collect()
-    })
+    qcn_telemetry::timing_enabled().then(|| model.groups().into_iter().map(|g| g.name).collect())
 }
 
 /// Starts the span for one pipeline stage; `None` (free) when telemetry

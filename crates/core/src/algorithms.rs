@@ -239,9 +239,9 @@ mod tests {
         let base = ModelQuant::full_precision(3);
         binary_search_uniform(&mut eval, &base, ParamDomain::Both, 31, 0.0);
         assert!(
-            eval.evaluations() <= 7,
+            eval.stats().evaluations <= 7,
             "expected ≈ log₂(32) evals, got {}",
-            eval.evaluations()
+            eval.stats().evaluations
         );
     }
 
@@ -252,10 +252,10 @@ mod tests {
         // Reachable target: the endpoint is the last passing mid-probe.
         let mut eval = Evaluator::new(&model, &ds, 15);
         let (config, _) = binary_search_uniform(&mut eval, &base, ParamDomain::Both, 16, 0.0);
-        let evals = eval.evaluations();
+        let evals = eval.stats().evaluations;
         let _ = eval.accuracy(&config);
         assert_eq!(
-            eval.evaluations(),
+            eval.stats().evaluations,
             evals,
             "endpoint accuracy must come from the memo, not a re-run"
         );
@@ -263,9 +263,9 @@ mod tests {
         let mut eval = Evaluator::new(&model, &ds, 15);
         let (config, frac) = binary_search_uniform(&mut eval, &base, ParamDomain::Both, 16, 1.01);
         assert_eq!(frac, 16);
-        let evals = eval.evaluations();
+        let evals = eval.stats().evaluations;
         let _ = eval.accuracy(&config);
-        assert_eq!(eval.evaluations(), evals);
+        assert_eq!(eval.stats().evaluations, evals);
     }
 
     #[test]

@@ -11,18 +11,22 @@
 //!    once. The memo is bounded ([`SearchAccel::memo_capacity`]) with
 //!    least-recently-used eviction.
 //! 2. **Prefix-activation reuse** — the staged forward API
-//!    ([`CapsNet::infer_stage`]) checkpoints each stage's output per
+//!    ([`StagedBackend::run_stage`]) checkpoints each stage's output per
 //!    evaluation batch; a candidate that shares a layer prefix with a
-//!    cached configuration re-runs only from the first stage whose
-//!    `(Qw, Qa, rounding)` differs. This holds for every scheme: stochastic
-//!    rounding is keyed per sample and rounding point, so each stage is a
-//!    pure function of its input.
+//!    cached configuration on the same datapath re-runs only from the
+//!    first stage whose `(Qw, Qa, rounding)` differs. This holds for every
+//!    scheme: stochastic rounding is keyed per sample and rounding point,
+//!    so each stage is a pure function of its input.
 //! 3. **Early-exit scoring** — threshold probes ([`ConfigScorer::meets`])
 //!    evaluate batch by batch and stop as soon as the verdict is decided:
 //!    rejected when even a perfect score on the remaining samples cannot
 //!    reach the floor, accepted once failure is impossible. Interrupted
 //!    evaluations are memoized with their progress so a later exact
 //!    [`Evaluator::accuracy`] call resumes instead of restarting.
+//!
+//! The evaluator is generic over the [`StagedBackend`] that runs the
+//! stages: every [`CapsNet`] is one (the fake-quant reference), and
+//! `qcn-intinfer`'s `IntBackend` runs the integer engine.
 
 use qcn_capsnet::{argmax_caps, CapsNet, GroupInfo, LayerQuant, ModelQuant, QuantCtx};
 use qcn_datasets::Dataset;
@@ -30,66 +34,6 @@ use qcn_fixed::RoundingScheme;
 use qcn_tensor::parallel;
 use qcn_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::OnceLock;
-
-/// Process-wide mirrors of the evaluator's work/savings counters in the
-/// telemetry registry, so cache effectiveness shows up on the metrics
-/// endpoint alongside the stage timings. [`EvalStats`] stays the exact
-/// per-evaluator record; these are cumulative across every evaluator in
-/// the process.
-struct SearchMetrics {
-    evaluations: qcn_telemetry::Counter,
-    memo_hits: qcn_telemetry::Counter,
-    prefix_hits: qcn_telemetry::Counter,
-    stages_run: qcn_telemetry::Counter,
-    stages_skipped: qcn_telemetry::Counter,
-}
-
-/// `None` when telemetry is disabled, so the hot path pays one relaxed
-/// atomic load and no registry traffic.
-fn search_metrics() -> Option<&'static SearchMetrics> {
-    if !qcn_telemetry::timing_enabled() {
-        return None;
-    }
-    static METRICS: OnceLock<SearchMetrics> = OnceLock::new();
-    Some(METRICS.get_or_init(|| {
-        let reg = qcn_telemetry::global();
-        SearchMetrics {
-            evaluations: reg.counter(
-                "qcn_search_evaluations_total",
-                &[],
-                "distinct quantization configurations probed (cache misses)",
-            ),
-            memo_hits: reg.counter(
-                "qcn_search_memo_hits_total",
-                &[],
-                "accuracy queries answered from the canonical-config memo",
-            ),
-            prefix_hits: reg.counter(
-                "qcn_search_prefix_hits_total",
-                &[],
-                "evaluation batches resumed from a cached prefix checkpoint",
-            ),
-            stages_run: reg.counter(
-                "qcn_search_stages_run_total",
-                &[],
-                "pipeline stages executed during search probes",
-            ),
-            stages_skipped: reg.counter(
-                "qcn_search_stages_skipped_total",
-                &[],
-                "pipeline stages skipped thanks to prefix reuse",
-            ),
-        }
-    }))
-}
-
-/// Mirrors one memo hit into the telemetry registry.
-fn note_memo_hit() {
-    if let Some(m) = search_metrics() {
-        m.memo_hits.inc();
-    }
-}
 
 /// Anything that can score a quantization configuration.
 ///
@@ -126,6 +70,77 @@ pub trait ConfigScorer {
     /// `1` reproduces a strictly sequential probe order.
     fn probe_width(&self) -> usize {
         1
+    }
+}
+
+/// What the [`Evaluator`] needs of a model: its quantization groups, the
+/// canonical form of a configuration, a model prepared for one
+/// configuration, and one pipeline stage run on it.
+///
+/// Stage `s` is quantization group `s`. It maps the output of stage
+/// `s − 1` (the input batch when `s == 0`) to its own output, and starts
+/// with [`QuantCtx::enter_stage`], so its output is a pure function of its
+/// input, of `config`'s first `s + 1` groups and of the datapath the
+/// prepared model runs on. Chaining every stage is the full forward pass.
+///
+/// Every [`CapsNet`] is a backend: the fake-quant reference, whose
+/// prepared form is [`CapsNet::with_quantized_weights`].
+pub trait StagedBackend: Sync {
+    /// A model prepared for one configuration.
+    type Prepared;
+
+    /// The quantization groups, one per stage, from input to output.
+    fn quant_groups(&self) -> Vec<GroupInfo>;
+
+    /// The form of `config` that two configurations selecting the same
+    /// computation share (see [`CapsNet::canonical_config`]).
+    fn canonical(&self, config: &ModelQuant) -> ModelQuant;
+
+    /// Prepares the model for the canonical `config`.
+    fn prepare(&self, config: &ModelQuant) -> Self::Prepared;
+
+    /// Whether `prepared` runs on the backend's fallback datapath instead
+    /// of its own. Stage outputs of the two may differ, so prefix
+    /// checkpoints are never shared between them.
+    fn is_fallback(&self, _prepared: &Self::Prepared) -> bool {
+        false
+    }
+
+    /// Runs stage `stage` of `prepared` on `x`.
+    fn run_stage(
+        &self,
+        prepared: &Self::Prepared,
+        stage: usize,
+        x: &Tensor,
+        config: &ModelQuant,
+        ctx: &mut QuantCtx,
+    ) -> Tensor;
+}
+
+impl<M: CapsNet + Sync> StagedBackend for M {
+    type Prepared = M;
+
+    fn quant_groups(&self) -> Vec<GroupInfo> {
+        self.groups()
+    }
+
+    fn canonical(&self, config: &ModelQuant) -> ModelQuant {
+        self.canonical_config(config)
+    }
+
+    fn prepare(&self, config: &ModelQuant) -> M {
+        self.with_quantized_weights(config)
+    }
+
+    fn run_stage(
+        &self,
+        prepared: &M,
+        stage: usize,
+        x: &Tensor,
+        config: &ModelQuant,
+        ctx: &mut QuantCtx,
+    ) -> Tensor {
+        prepared.infer_stage(stage, x, config, ctx)
     }
 }
 
@@ -206,6 +221,9 @@ pub struct EvalStats {
     /// Parallel probes whose verdict turned out not to be needed (work a
     /// sequential search would not have done).
     pub speculative_probes: usize,
+    /// Distinct configurations scored on the backend's fallback datapath
+    /// (see [`StagedBackend::is_fallback`]).
+    pub fallbacks: usize,
 }
 
 /// A memoized evaluation result: either a finished accuracy, or an
@@ -224,13 +242,15 @@ struct PartialEval {
 }
 
 /// Identifies a stage checkpoint: the first `depth` canonical layer
-/// configs, plus everything else that can influence the prefix computation.
+/// configs, plus everything else that can influence the prefix computation,
+/// including the datapath it ran on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PrefixKey {
     depth: usize,
     prefix: Vec<LayerQuant>,
     scheme: RoundingScheme,
     seed: u64,
+    fallback: bool,
 }
 
 #[derive(Debug)]
@@ -288,8 +308,8 @@ impl PrefixCache {
 }
 
 /// Everything a probe needs, shareable across pool workers.
-struct ProbeEnv<'b, M: CapsNet> {
-    model: &'b M,
+struct ProbeEnv<'b, B: StagedBackend> {
+    backend: &'b B,
     dataset: &'b Dataset,
     batches: &'b [Vec<usize>],
     num_stages: usize,
@@ -305,6 +325,7 @@ struct ProbeDelta {
     stages_skipped: usize,
     early_accept: bool,
     early_reject: bool,
+    fallback: bool,
 }
 
 struct ProbeOutcome {
@@ -316,12 +337,13 @@ struct ProbeOutcome {
     delta: ProbeDelta,
 }
 
-fn prefix_key(config: &ModelQuant, depth: usize) -> PrefixKey {
+fn prefix_key(config: &ModelQuant, depth: usize, fallback: bool) -> PrefixKey {
     PrefixKey {
         depth,
         prefix: config.layers[..depth].to_vec(),
         scheme: config.scheme,
         seed: config.seed,
+        fallback,
     }
 }
 
@@ -329,14 +351,14 @@ fn prefix_key(config: &ModelQuant, depth: usize) -> PrefixKey {
 /// prefix checkpoints and stopping early when `goal` is decided. A pure
 /// function of its inputs — safe to run concurrently for independent
 /// candidates and bit-identical for every thread count.
-fn run_probe<M: CapsNet>(
-    env: &ProbeEnv<'_, M>,
+fn run_probe<B: StagedBackend>(
+    env: &ProbeEnv<'_, B>,
     config: &ModelQuant,
     resume: Option<&PartialEval>,
     goal: Option<f32>,
 ) -> ProbeOutcome {
     let total = env.dataset.len();
-    let qmodel = env.model.with_quantized_weights(config);
+    let prepared = env.backend.prepare(config);
     let (mut correct, mut seen, start_batch) = match resume {
         Some(p) => (p.correct, p.seen, p.batches_done),
         None => (0, 0, 0),
@@ -347,12 +369,17 @@ fn run_probe<M: CapsNet>(
     let mut ctx = QuantCtx::from_config(config);
     let reuse = env.reuse;
     let mut checkpoints = Vec::new();
-    let mut delta = ProbeDelta::default();
+    let mut delta = ProbeDelta {
+        fallback: env.backend.is_fallback(&prepared),
+        ..ProbeDelta::default()
+    };
     // The shared cache is frozen for the whole probe (probes may run
     // concurrently), so contiguity of the checkpoints *we* produce has to
     // be tracked locally: `base[d-1]` batches were already cached for the
     // depth-`d` key, and `pushed[d-1]` more are in `checkpoints`.
-    let keys: Vec<PrefixKey> = (1..env.num_stages).map(|d| prefix_key(config, d)).collect();
+    let keys: Vec<PrefixKey> = (1..env.num_stages)
+        .map(|d| prefix_key(config, d, delta.fallback))
+        .collect();
     let base: Vec<usize> = keys
         .iter()
         .map(|k| env.prefix.entries.get(k).map_or(0, |e| e.acts.len()))
@@ -382,7 +409,7 @@ fn run_probe<M: CapsNet>(
             None => env.dataset.batch(chunk).0,
         };
         for s in start_stage..env.num_stages {
-            y = qmodel.infer_stage(s, &y, config, &mut ctx);
+            y = env.backend.run_stage(&prepared, s, &y, config, &mut ctx);
             delta.stages_run += 1;
             let depth = s + 1;
             if reuse && depth < env.num_stages {
@@ -442,7 +469,7 @@ fn run_probe<M: CapsNet>(
 
 /// Evaluates quantized accuracy of one trained model on one dataset, with
 /// canonical memoization, prefix-activation reuse and early-exit scoring
-/// (see [`SearchAccel`]).
+/// (see [`SearchAccel`]), on the datapath of its [`StagedBackend`].
 ///
 /// # Examples
 ///
@@ -458,15 +485,14 @@ fn run_probe<M: CapsNet>(
 /// let a1 = eval.accuracy(&fp);
 /// let a2 = eval.accuracy(&fp); // served from cache
 /// assert_eq!(a1, a2);
-/// assert_eq!(eval.evaluations(), 1);
+/// assert_eq!(eval.stats().evaluations, 1);
 /// assert_eq!(eval.stats().memo_hits, 1);
 /// ```
 #[derive(Debug)]
-pub struct Evaluator<'a, M: CapsNet> {
-    model: &'a M,
+pub struct Evaluator<'a, B: StagedBackend> {
+    backend: &'a B,
     dataset: &'a Dataset,
     accel: SearchAccel,
-    num_stages: usize,
     groups: Vec<GroupInfo>,
     batches: Vec<Vec<usize>>,
     memo: HashMap<ModelQuant, (u64, Memo)>,
@@ -475,15 +501,15 @@ pub struct Evaluator<'a, M: CapsNet> {
     stats: EvalStats,
 }
 
-impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
-    /// Creates an evaluator over `model` and a labelled evaluation set,
+impl<'a, B: StagedBackend> Evaluator<'a, B> {
+    /// Creates an evaluator over `backend` and a labelled evaluation set,
     /// with the default [`SearchAccel`].
     ///
     /// # Panics
     ///
     /// Panics when the dataset is empty or `batch_size == 0`.
-    pub fn new(model: &'a M, dataset: &'a Dataset, batch_size: usize) -> Self {
-        Evaluator::with_accel(model, dataset, batch_size, SearchAccel::default())
+    pub fn new(backend: &'a B, dataset: &'a Dataset, batch_size: usize) -> Self {
+        Evaluator::with_accel(backend, dataset, batch_size, SearchAccel::default())
     }
 
     /// Creates an evaluator with explicit acceleration settings.
@@ -492,45 +518,26 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
     ///
     /// Panics when the dataset is empty or `batch_size == 0`.
     pub fn with_accel(
-        model: &'a M,
+        backend: &'a B,
         dataset: &'a Dataset,
         batch_size: usize,
         accel: SearchAccel,
     ) -> Self {
         assert!(!dataset.is_empty(), "empty evaluation set");
         assert!(batch_size > 0, "batch size must be positive");
-        let groups = model.groups();
-        let num_stages = model.num_stages();
-        let mut accel = accel;
-        // Prefix keys slice the config by stage index, which is only
-        // meaningful when stages and quantization groups line up.
-        if num_stages != groups.len() {
-            accel.prefix_reuse = false;
-        }
         let indices: Vec<usize> = (0..dataset.len()).collect();
         let batches = indices.chunks(batch_size).map(<[usize]>::to_vec).collect();
         Evaluator {
-            model,
+            backend,
             dataset,
             accel,
-            num_stages,
-            groups,
+            groups: backend.quant_groups(),
             batches,
             memo: HashMap::new(),
             memo_gen: 0,
             prefix: PrefixCache::default(),
             stats: EvalStats::default(),
         }
-    }
-
-    /// The model under evaluation.
-    pub fn model(&self) -> &M {
-        self.model
-    }
-
-    /// The acceleration settings in effect.
-    pub fn accel(&self) -> &SearchAccel {
-        &self.accel
     }
 
     /// Accuracy (fraction in `[0, 1]`) of the model under `config`: weights
@@ -540,34 +547,15 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
     /// approximated.
     pub fn accuracy(&mut self, config: &ModelQuant) -> f32 {
         let key = self.canonical(config);
-        match self.memo.get(&key).map(|(_, m)| m.clone()) {
-            Some(Memo::Exact(acc)) => {
-                self.stats.memo_hits += 1;
-                note_memo_hit();
-                self.touch(&key);
-                acc
-            }
-            Some(Memo::Partial(p)) => {
-                let out = self.probe(&key, Some(&p), None);
-                match self.merge(key, out, false) {
-                    Memo::Exact(acc) => acc,
-                    Memo::Partial(_) => unreachable!("goal-less probes run to completion"),
-                }
-            }
-            None => {
-                let out = self.probe(&key, None, None);
-                match self.merge(key, out, true) {
-                    Memo::Exact(acc) => acc,
-                    Memo::Partial(_) => unreachable!("goal-less probes run to completion"),
-                }
-            }
+        let resume = match self.memo.get(&key).map(|(_, m)| m.clone()) {
+            Some(Memo::Exact(acc)) => return self.hit(&key, acc),
+            Some(Memo::Partial(p)) => Some(p),
+            None => None,
+        };
+        match self.probe(key, resume, None).0 {
+            Memo::Exact(acc) => acc,
+            Memo::Partial(_) => unreachable!("goal-less probes run to completion"),
         }
-    }
-
-    /// Number of *distinct* configurations actually evaluated (cache
-    /// misses).
-    pub fn evaluations(&self) -> usize {
-        self.stats.evaluations
     }
 
     /// The full work/savings counters accumulated so far.
@@ -576,7 +564,7 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
     }
 
     fn canonical(&self, config: &ModelQuant) -> ModelQuant {
-        let mut c = self.model.canonical_config(config);
+        let mut c = self.backend.canonical(config);
         if c.scheme != RoundingScheme::Stochastic {
             // Deterministic schemes never consume the RNG, so the seed
             // cannot influence the result.
@@ -585,32 +573,39 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
         c
     }
 
-    fn touch(&mut self, key: &ModelQuant) {
+    /// Records a query answered from the memo, returning `answer`.
+    fn hit<T>(&mut self, key: &ModelQuant, answer: T) -> T {
+        self.stats.memo_hits += 1;
         self.memo_gen += 1;
         if let Some(slot) = self.memo.get_mut(key) {
             slot.0 = self.memo_gen;
         }
+        answer
     }
 
-    fn env(&self) -> ProbeEnv<'_, M> {
+    fn env(&self) -> ProbeEnv<'_, B> {
         ProbeEnv {
-            model: self.model,
+            backend: self.backend,
             dataset: self.dataset,
             batches: &self.batches,
-            num_stages: self.num_stages,
+            num_stages: self.groups.len(),
             reuse: self.accel.prefix_reuse,
             early: self.accel.early_exit,
             prefix: &self.prefix,
         }
     }
 
+    /// Probes `key` from scratch or from `resume`, deciding `goal` when
+    /// given, and applies the outcome. Returns the memo entry and verdict.
     fn probe(
-        &self,
-        key: &ModelQuant,
-        resume: Option<&PartialEval>,
+        &mut self,
+        key: ModelQuant,
+        resume: Option<PartialEval>,
         goal: Option<f32>,
-    ) -> ProbeOutcome {
-        run_probe(&self.env(), key, resume, goal)
+    ) -> (Memo, bool) {
+        let out = run_probe(&self.env(), &key, resume.as_ref(), goal);
+        let verdict = out.verdict;
+        (self.merge(key, out, resume.is_none()), verdict)
     }
 
     /// Applies a probe's outcome: stats, new prefix checkpoints, memo
@@ -623,16 +618,9 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
         self.stats.early_rejects += usize::from(out.delta.early_reject);
         if fresh {
             self.stats.evaluations += 1;
+            self.stats.fallbacks += usize::from(out.delta.fallback);
         } else {
             self.stats.partial_resumes += 1;
-        }
-        if let Some(m) = search_metrics() {
-            m.prefix_hits.add(out.delta.prefix_hits as u64);
-            m.stages_run.add(out.delta.stages_run as u64);
-            m.stages_skipped.add(out.delta.stages_skipped as u64);
-            if fresh {
-                m.evaluations.inc();
-            }
         }
         for (k, bi, act) in out.checkpoints {
             self.prefix
@@ -659,56 +647,45 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
         }
         self.memo.insert(key, (gen, memo));
     }
+}
 
-    fn meets_one(&mut self, config: &ModelQuant, acc_min: f32) -> bool {
+impl<B: StagedBackend> ConfigScorer for Evaluator<'_, B> {
+    fn score(&mut self, config: &ModelQuant) -> f32 {
+        self.accuracy(config)
+    }
+
+    fn groups(&self) -> Vec<GroupInfo> {
+        self.groups.clone()
+    }
+
+    fn meets(&mut self, config: &ModelQuant, acc_min: f32) -> bool {
         let key = self.canonical(config);
         let total = self.dataset.len();
-        match self.memo.get(&key).map(|(_, m)| m.clone()) {
-            Some(Memo::Exact(acc)) => {
-                self.stats.memo_hits += 1;
-                note_memo_hit();
-                self.touch(&key);
-                acc >= acc_min
-            }
+        let resume = match self.memo.get(&key).map(|(_, m)| m.clone()) {
+            Some(Memo::Exact(acc)) => return self.hit(&key, acc >= acc_min),
             Some(Memo::Partial(p)) => {
                 let lower = p.correct as f32 / total as f32;
                 let upper = (p.correct + (total - p.seen)) as f32 / total as f32;
-                if lower >= acc_min {
-                    self.stats.memo_hits += 1;
-                    note_memo_hit();
-                    self.touch(&key);
-                    true
-                } else if upper < acc_min {
-                    self.stats.memo_hits += 1;
-                    note_memo_hit();
-                    self.touch(&key);
-                    false
-                } else {
-                    let out = self.probe(&key, Some(&p), Some(acc_min));
-                    let verdict = out.verdict;
-                    self.merge(key, out, false);
-                    verdict
+                if lower >= acc_min || upper < acc_min {
+                    return self.hit(&key, lower >= acc_min);
                 }
+                Some(p)
             }
-            None => {
-                let out = self.probe(&key, None, Some(acc_min));
-                let verdict = out.verdict;
-                self.merge(key, out, true);
-                verdict
-            }
-        }
+            None => None,
+        };
+        self.probe(key, resume, Some(acc_min)).1
     }
 
-    fn meets_batch_impl(&mut self, configs: &[ModelQuant], acc_min: f32) -> Vec<bool> {
+    fn meets_batch(&mut self, configs: &[ModelQuant], acc_min: f32) -> Vec<bool> {
         if configs.len() <= 1 || !self.accel.parallel_probes || parallel::current_threads() <= 1 {
-            return configs.iter().map(|c| self.meets_one(c, acc_min)).collect();
+            return configs.iter().map(|c| self.meets(c, acc_min)).collect();
         }
         let keys: Vec<ModelQuant> = configs.iter().map(|c| self.canonical(c)).collect();
         let mut verdicts: Vec<Option<bool>> = vec![None; configs.len()];
         let mut jobs: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             if self.memo.contains_key(key) {
-                verdicts[i] = Some(self.meets_one(&configs[i], acc_min));
+                verdicts[i] = Some(self.meets(&configs[i], acc_min));
             } else {
                 jobs.push(i);
             }
@@ -741,24 +718,6 @@ impl<'a, M: CapsNet + Sync> Evaluator<'a, M> {
         }
         verdicts
     }
-}
-
-impl<M: CapsNet + Sync> ConfigScorer for Evaluator<'_, M> {
-    fn score(&mut self, config: &ModelQuant) -> f32 {
-        self.accuracy(config)
-    }
-
-    fn groups(&self) -> Vec<GroupInfo> {
-        self.groups.clone()
-    }
-
-    fn meets(&mut self, config: &ModelQuant, acc_min: f32) -> bool {
-        self.meets_one(config, acc_min)
-    }
-
-    fn meets_batch(&mut self, configs: &[ModelQuant], acc_min: f32) -> Vec<bool> {
-        self.meets_batch_impl(configs, acc_min)
-    }
 
     fn probe_width(&self) -> usize {
         if self.accel.parallel_probes {
@@ -786,7 +745,7 @@ mod tests {
         eval.accuracy(&a);
         eval.accuracy(&a);
         eval.accuracy(&b);
-        assert_eq!(eval.evaluations(), 2);
+        assert_eq!(eval.stats().evaluations, 2);
         assert_eq!(eval.stats().memo_hits, 1);
     }
 
@@ -813,7 +772,7 @@ mod tests {
         let a = eval.accuracy(&implicit);
         let b = eval.accuracy(&explicit);
         assert_eq!(a, b);
-        assert_eq!(eval.evaluations(), 1);
+        assert_eq!(eval.stats().evaluations, 1);
         assert_eq!(eval.stats().memo_hits, 1);
     }
 
@@ -831,7 +790,7 @@ mod tests {
         // The exact accuracy resumes the interrupted evaluation.
         assert_eq!(eval.accuracy(&config), reference);
         assert_eq!(eval.stats().partial_resumes, 1);
-        assert_eq!(eval.evaluations(), 1);
+        assert_eq!(eval.stats().evaluations, 1);
     }
 
     #[test]
@@ -853,7 +812,7 @@ mod tests {
         eval.accuracy(&c(6));
         assert_eq!(eval.stats().memo_hits, 2);
         eval.accuracy(&c(4));
-        assert_eq!(eval.evaluations(), 4);
+        assert_eq!(eval.stats().evaluations, 4);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::memory::{
     activation_memory_bits, activation_memory_reduction, solve_eq6, weight_memory_bits,
     weight_memory_reduction,
 };
-use crate::{EvalStats, Evaluator, SearchAccel};
-use qcn_capsnet::{CapsNet, ModelQuant};
+use crate::{EvalStats, Evaluator, SearchAccel, StagedBackend};
+use qcn_capsnet::ModelQuant;
 use qcn_datasets::Dataset;
 use qcn_fixed::RoundingScheme;
 use std::fmt;
@@ -144,8 +144,6 @@ pub struct RunReport {
     pub acc_target: f32,
     /// Step-1 uniform fractional width for weights and activations.
     pub step1_frac: u8,
-    /// Number of distinct configurations evaluated.
-    pub evaluations: usize,
     /// Evaluator work/savings counters: memo hits, prefix reuse, early
     /// exits, evictions (see [`EvalStats`]).
     pub stats: EvalStats,
@@ -155,14 +153,17 @@ pub struct RunReport {
 
 /// Runs the Q-CapsNets framework (paper Algorithm 1) on a trained model.
 ///
-/// `eval_set` drives every accuracy test (the paper uses the test set).
+/// `eval_set` drives every accuracy test (the paper uses the test set), on
+/// the datapath of `backend`: a [`qcn_capsnet::CapsNet`] scores on the
+/// fake-quant reference, `qcn-intinfer`'s `IntBackend` on the integer
+/// engine.
 ///
 /// # Panics
 ///
 /// Panics when `eval_set` is empty or `config` is inconsistent (zero batch,
 /// `acc_tol` outside `[0, 1)`).
-pub fn run<M: CapsNet + Sync>(
-    model: &M,
+pub fn run<B: StagedBackend>(
+    backend: &B,
     eval_set: &Dataset,
     config: &FrameworkConfig,
 ) -> RunReport {
@@ -170,9 +171,9 @@ pub fn run<M: CapsNet + Sync>(
         (0.0..1.0).contains(&config.acc_tol),
         "accuracy tolerance must be in [0, 1)"
     );
-    let groups = model.groups();
+    let groups = backend.quant_groups();
     let n = groups.len();
-    let mut eval = Evaluator::with_accel(model, eval_set, config.eval_batch, config.accel);
+    let mut eval = Evaluator::with_accel(backend, eval_set, config.eval_batch, config.accel);
     let fp = base_config(n, config);
     // Full-precision reference and targets (Algorithm 1, lines 3-6).
     let acc_fp32 = eval.accuracy(&fp);
@@ -236,7 +237,6 @@ pub fn run<M: CapsNet + Sync>(
         acc_fp32,
         acc_target,
         step1_frac,
-        evaluations: eval.evaluations(),
         stats: eval.stats(),
         outcome,
     }
@@ -270,7 +270,7 @@ fn make_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcn_capsnet::{train, ShallowCaps, ShallowCapsConfig, TrainConfig};
+    use qcn_capsnet::{train, CapsNet, ShallowCaps, ShallowCapsConfig, TrainConfig};
     use qcn_datasets::augment::AugmentPolicy;
     use qcn_datasets::SynthKind;
     use std::sync::OnceLock;
@@ -394,7 +394,7 @@ mod tests {
         );
         assert!((0.0..=1.0).contains(&report.acc_fp32));
         assert!(report.acc_target <= report.acc_fp32);
-        assert!(report.evaluations > 0);
+        assert!(report.stats.evaluations > 0);
     }
 
     #[test]

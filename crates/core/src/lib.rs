@@ -20,6 +20,10 @@
 //! 5. **§III-B** — rounding-scheme selection across the library
 //!    ([`run_library`]).
 //!
+//! Every accuracy test goes through one [`Evaluator`], generic over the
+//! [`StagedBackend`] whose datapath it scores on: any `CapsNet` (the
+//! fake-quant reference), or `qcn-intinfer`'s integer engine.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -53,7 +57,7 @@ pub mod memory;
 pub mod report;
 mod selection;
 
-pub use evaluator::{ConfigScorer, EvalStats, Evaluator, SearchAccel};
+pub use evaluator::{ConfigScorer, EvalStats, Evaluator, SearchAccel, StagedBackend};
 pub use finetune::{finetune, finetune_step, FinetuneConfig};
 pub use framework::{run, FrameworkConfig, Outcome, QuantResult, ResultKind, RunReport};
 pub use selection::{run_library, select, LibraryReport, Selection};

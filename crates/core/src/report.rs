@@ -193,6 +193,7 @@ mod tests {
             memo_evictions: 1,
             prefix_evictions: 0,
             speculative_probes: 5,
+            fallbacks: 0,
         };
         let s = search_stats(&stats);
         assert!(s.contains("evaluations=12"), "{s}");

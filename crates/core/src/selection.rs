@@ -3,7 +3,7 @@
 //! tie-breaking rules.
 
 use crate::framework::{run, FrameworkConfig, Outcome, QuantResult, RunReport};
-use qcn_capsnet::CapsNet;
+use crate::StagedBackend;
 use qcn_datasets::Dataset;
 use qcn_fixed::RoundingScheme;
 
@@ -36,15 +36,15 @@ pub struct LibraryReport {
     pub selection: Selection,
 }
 
-/// Runs the framework once per rounding scheme and applies the selection
-/// rules of §III-B.
+/// Runs the framework once per rounding scheme on `backend`'s datapath and
+/// applies the selection rules of §III-B.
 ///
 /// # Panics
 ///
 /// Panics when `schemes` is empty, or on the same conditions as
 /// [`run`].
-pub fn run_library<M: CapsNet + Sync>(
-    model: &M,
+pub fn run_library<B: StagedBackend>(
+    backend: &B,
     eval_set: &Dataset,
     config: &FrameworkConfig,
     schemes: &[RoundingScheme],
@@ -54,7 +54,7 @@ pub fn run_library<M: CapsNet + Sync>(
         .iter()
         .map(|&scheme| {
             let report = run(
-                model,
+                backend,
                 eval_set,
                 &FrameworkConfig {
                     scheme,
@@ -159,7 +159,6 @@ mod tests {
             acc_fp32: 0.9,
             acc_target: 0.89,
             step1_frac: 8,
-            evaluations: 1,
             stats: Default::default(),
             outcome,
         }

@@ -43,21 +43,24 @@
 //! geometries at `Q_DR` 2–8 (`tests/routing_geometry.rs`); no wider domain
 //! is tested.
 //!
-//! [`IntEvaluator`] plugs the engine into the framework's
-//! [`qcapsnets::ConfigScorer`] interface, so the Q-CapsNets search can
-//! score candidate configurations on the deployment datapath itself.
+//! [`IntBackend`] plugs the engine into the framework's
+//! [`qcapsnets::StagedBackend`] interface: passed to [`qcapsnets::run`],
+//! the Q-CapsNets search scores candidate configurations on the deployment
+//! datapath itself, through the same [`qcapsnets::Evaluator`] (memo, prefix
+//! reuse, early exit) as the fake-quant reference. A configuration the
+//! engine cannot load falls back whole to the reference.
 
 #![warn(missing_docs)]
 
+mod backend;
 pub mod epilogue;
-mod evaluator;
 pub mod kernels;
 mod model;
 pub mod routing;
 pub mod tensor;
 mod units;
 
-pub use evaluator::IntEvaluator;
+pub use backend::{IntBackend, IntPrepared};
 pub use model::{IntModel, LoadError};
-pub use tensor::{f32_to_raw, flatten_caps_raw, on_grid, raw_to_f32, IntTensor};
+pub use tensor::{f32_to_raw, flatten_caps_raw, on_grid, raw_to_f32, snap_to_grid, IntTensor};
 pub use units::UnitMode;

@@ -566,45 +566,48 @@ impl IntModel {
         self.infer_raw(input, mode).to_f32()
     }
 
-    /// The raw-in/raw-out forward pass.
-    ///
-    /// Each group is one pipeline stage: it enters its [`QuantCtx`] stage
-    /// with the group input dequantized (the reference's stage input, bit
-    /// for bit), and is wrapped in a telemetry span recording its wall time
-    /// into the global `qcn_stage_duration_us` histogram under
+    /// The raw-in/raw-out forward pass: [`run_stage`](IntModel::run_stage)
+    /// for every group, each wrapped in a telemetry span recording its wall
+    /// time into the global `qcn_stage_duration_us` histogram under
     /// `engine="integer"`, mirroring the fake-quant engine's stage spans.
     /// Timing only reads the clock; the integer datapath is untouched.
     pub fn infer_raw(&self, mut cur: IntTensor, mode: UnitMode) -> IntTensor {
         let names = qcn_telemetry::timing_enabled().then_some(self.stage_names.as_slice());
         let mut ctx = QuantCtx::from_config(&self.config);
-        for (s, group) in self.groups.iter().enumerate() {
+        for s in 0..self.groups.len() {
             let _t = qcn_capsnet::stage_span("integer", &self.name, names, s);
-            let frac = cur.frac();
-            ctx.enter_stage(s, cur.data(), cur.dims()[0], |r| raw_to_f32(r, frac));
-            match &group.desc {
-                GroupDesc::Layer(layer) => {
-                    if let LayerDesc::CapsFc { in_dim, .. } = layer {
-                        if cur.rank() == 4 {
-                            cur = flatten_caps_raw(&cur, *in_dim);
-                        }
-                    }
-                    let bits = group.bits;
-                    cur = run_layer(
-                        layer,
-                        &group.layers[0],
-                        bits.weight,
-                        bits.act,
-                        cur,
-                        mode,
-                        &mut ctx,
-                    );
-                }
-                GroupDesc::Block(block) => {
-                    cur = run_block(block, &group.bits, &group.layers, cur, mode, &mut ctx);
-                }
-            }
+            cur = self.run_stage(s, cur, mode, &mut ctx);
         }
         cur
+    }
+
+    /// Runs group `s` (one pipeline stage) on `cur`, the output of group
+    /// `s − 1` or the model input. It enters its [`QuantCtx`] stage with
+    /// the group input dequantized (the reference's stage input, bit for
+    /// bit), so serving and search ([`crate::IntBackend`]) share one
+    /// per-group path.
+    pub(crate) fn run_stage(
+        &self,
+        s: usize,
+        mut cur: IntTensor,
+        mode: UnitMode,
+        ctx: &mut QuantCtx,
+    ) -> IntTensor {
+        let group = &self.groups[s];
+        let frac = cur.frac();
+        ctx.enter_stage(s, cur.data(), cur.dims()[0], |r| raw_to_f32(r, frac));
+        match &group.desc {
+            GroupDesc::Layer(layer) => {
+                if let LayerDesc::CapsFc { in_dim, .. } = layer {
+                    if cur.rank() == 4 {
+                        cur = flatten_caps_raw(&cur, *in_dim);
+                    }
+                }
+                let (w, a) = (group.bits.weight, group.bits.act);
+                run_layer(layer, &group.layers[0], w, a, cur, mode, ctx)
+            }
+            GroupDesc::Block(block) => run_block(block, &group.bits, &group.layers, cur, mode, ctx),
+        }
     }
 
     /// Classifies a batch on the integer datapath: [`infer`](IntModel::infer)

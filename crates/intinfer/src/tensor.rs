@@ -36,6 +36,14 @@ pub fn on_grid(v: f32, frac: u8) -> bool {
     (v as f64 * (frac as f64).exp2()).fract() == 0.0
 }
 
+/// Rounds `v` to the nearest point of the `2^-frac` grid (ties away from
+/// zero), without clamping: the analog front-end's input quantization,
+/// applied once to an evaluation set so that it passes [`on_grid`].
+pub fn snap_to_grid(v: f32, frac: u8) -> f32 {
+    let scale = (frac as f64).exp2();
+    ((v as f64 * scale).round() / scale) as f32
+}
+
 /// Exactly converts an on-grid `f32` back to its raw index at `frac`
 /// fractional bits.
 ///

@@ -62,7 +62,7 @@ fn main() {
         "framework: fp32 {:.2}%, target {:.2}%, {} evaluations",
         outcome.acc_fp32 * 100.0,
         outcome.acc_target * 100.0,
-        outcome.evaluations
+        outcome.stats.evaluations
     );
     for result in outcome.outcome.results() {
         println!("{}", report::layer_table(&model.groups(), result));

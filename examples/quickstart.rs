@@ -53,7 +53,7 @@ fn main() {
     // 5. Report.
     println!(
         "framework evaluated {} configurations (fp32 {:.2}%, target {:.2}%)",
-        outcome.evaluations,
+        outcome.stats.evaluations,
         outcome.acc_fp32 * 100.0,
         outcome.acc_target * 100.0
     );

@@ -59,8 +59,9 @@ QCN_TELEMETRY=0 cargo test -q --test observability
 QCN_TELEMETRY=0 cargo test -q --test serving_determinism
 cargo clippy --all-targets -- -D warnings
 cargo bench --no-run
-# Search-acceleration smoke: one end-to-end Algorithm 1 run, accelerated
-# vs naive, asserting the bit-identical-selection contract.
+# Search-acceleration smoke: one end-to-end Algorithm 1 run per backend
+# (fake-quant, integer), accelerated vs naive, asserting the
+# bit-identical-selection contract and integer ≡ fake-quant selection.
 cargo run --release -p qcn-bench --bin bench_report -- --search-smoke
 # The repository benchmark is a package of its own, outside the
 # workspace: build it and run its unit tests so a library API change

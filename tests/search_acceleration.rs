@@ -2,8 +2,9 @@
 //! forward with prefix-activation reuse, the early-exit scorer and the
 //! parallel candidate probes must be *bit-identical* to the naive
 //! monolithic evaluation — for every rounding scheme in the library and
-//! for every thread count. Acceleration is allowed to change wall-clock
-//! time and evaluator work counters, never results.
+//! for every thread count, on the fake-quant and the integer backends.
+//! Acceleration is allowed to change wall-clock time and evaluator work
+//! counters, never results.
 
 use qcn_repro::capsnet::{
     train, CapsNet, DeepCaps, DeepCapsConfig, LayerQuant, ModelQuant, ShallowCaps,
@@ -12,7 +13,10 @@ use qcn_repro::capsnet::{
 use qcn_repro::datasets::augment::AugmentPolicy;
 use qcn_repro::datasets::{Dataset, SynthKind};
 use qcn_repro::fixed::RoundingScheme;
-use qcn_repro::framework::{run, Evaluator, FrameworkConfig, Outcome, RunReport, SearchAccel};
+use qcn_repro::framework::{
+    run, Evaluator, FrameworkConfig, Outcome, RunReport, SearchAccel, StagedBackend,
+};
+use qcn_repro::intinfer::{snap_to_grid, IntBackend, UnitMode};
 use qcn_repro::tensor::parallel;
 use std::sync::OnceLock;
 
@@ -65,17 +69,25 @@ fn descent_sweep(layers: usize, scheme: RoundingScheme) -> Vec<ModelQuant> {
 }
 
 /// Asserts that accelerated evaluation of `sweep` reproduces the naive
-/// accuracies bit-for-bit on `model`, for every library scheme and thread
-/// count.
-fn assert_sweep_bit_identical<M: CapsNet + Sync>(model: &M, ds: &Dataset, batch: usize) {
-    let layers = model.groups().len();
+/// accuracies bit-for-bit on `backend`, for every library scheme and
+/// thread count, with `fallbacks` configurations scored on the backend's
+/// fallback datapath. Returns the accuracy bits per scheme.
+fn assert_sweep_bit_identical<B: StagedBackend>(
+    backend: &B,
+    ds: &Dataset,
+    batch: usize,
+    fallbacks: usize,
+) -> Vec<Vec<u32>> {
+    let layers = backend.quant_groups().len();
+    let mut per_scheme = Vec::new();
     for scheme in RoundingScheme::EXTENDED {
         let sweep = descent_sweep(layers, scheme);
-        let mut naive = Evaluator::with_accel(model, ds, batch, SearchAccel::naive());
+        let mut naive = Evaluator::with_accel(backend, ds, batch, SearchAccel::naive());
         let reference: Vec<u32> = sweep.iter().map(|c| naive.accuracy(c).to_bits()).collect();
+        assert_eq!(naive.stats().fallbacks, fallbacks, "scheme {scheme}");
         for threads in THREAD_COUNTS {
             parallel::with_threads(threads, || {
-                let mut accel = Evaluator::with_accel(model, ds, batch, SearchAccel::default());
+                let mut accel = Evaluator::with_accel(backend, ds, batch, SearchAccel::default());
                 for (config, &want) in sweep.iter().zip(&reference) {
                     let got = accel.accuracy(config).to_bits();
                     assert_eq!(
@@ -94,16 +106,40 @@ fn assert_sweep_bit_identical<M: CapsNet + Sync>(model: &M, ds: &Dataset, batch:
                     "canonical Q_DR fallback should hit the memo (scheme {scheme}): {stats:?}"
                 );
                 assert!(stats.evaluations <= sweep.len());
+                assert_eq!(stats.fallbacks, fallbacks, "scheme {scheme}");
             });
         }
+        per_scheme.push(reference);
     }
+    per_scheme
 }
 
 #[test]
 fn shallowcaps_staged_prefix_reuse_is_bit_identical() {
     let model = ShallowCaps::new(ShallowCapsConfig::small(1), 3);
     let ds = SynthKind::Mnist.generate(30, 3);
-    assert_sweep_bit_identical(&model, &ds, 10);
+    assert_sweep_bit_identical(&model, &ds, 10, 0);
+}
+
+/// The integer backend under both unit modes runs the same sweep through
+/// the shared evaluator, on an evaluation set snapped to its Q1.7 input
+/// grid. Only the FP32 reference config cannot load, so exactly one probe
+/// falls back; in FloatExact mode every accuracy equals the fake-quant
+/// backend's on the same set.
+#[test]
+fn integer_backend_sweep_is_bit_identical() {
+    let model = ShallowCaps::new(ShallowCapsConfig::small(1), 3);
+    let raw = SynthKind::Mnist.generate(30, 3);
+    let images = raw.images().map(|v| snap_to_grid(v, 7));
+    let ds = Dataset::new(images, raw.labels().to_vec(), 10).unwrap();
+    let fake_quant = assert_sweep_bit_identical(&model, &ds, 10, 0);
+    for mode in [UnitMode::FloatExact, UnitMode::Integer] {
+        let backend = IntBackend::new(&model, model.descriptor(), 7, mode);
+        let integer = assert_sweep_bit_identical(&backend, &ds, 10, 1);
+        if mode == UnitMode::FloatExact {
+            assert_eq!(integer, fake_quant, "FloatExact diverged from fake-quant");
+        }
+    }
 }
 
 #[test]
@@ -115,7 +151,7 @@ fn deepcaps_staged_prefix_reuse_is_bit_identical() {
     config.digit_dim = 6;
     let model = DeepCaps::new(config, 7);
     let ds = SynthKind::Mnist.generate(24, 7);
-    assert_sweep_bit_identical(&model, &ds, 8);
+    assert_sweep_bit_identical(&model, &ds, 8, 0);
 }
 
 /// A lightly trained tiny ShallowCaps (cached per test binary) so the
@@ -229,9 +265,9 @@ fn framework_run_is_invariant_under_acceleration_and_threads() {
             // up to each round's first failure — never do.
             let useful = accel_report.stats.evaluations - accel_report.stats.speculative_probes;
             assert!(
-                useful <= naive_report.evaluations,
+                useful <= naive_report.stats.evaluations,
                 "scheme {scheme}, {threads} threads: {useful} useful evals vs naive {}",
-                naive_report.evaluations
+                naive_report.stats.evaluations
             );
         }
     }
