@@ -339,7 +339,7 @@ fn search_entries(smoke: bool) -> Vec<SearchEntry> {
     let (shallow, sds) = trained_shallow_s();
     let sds = snapped(&sds);
     let sbase = search_base(&shallow);
-    let int_shallow = IntBackend::new(&shallow, shallow.descriptor(), 7, UnitMode::FloatExact);
+    let int_shallow = IntBackend::new(&shallow, 7, UnitMode::FloatExact);
     let schemes: &[RoundingScheme] = if smoke {
         &[RoundingScheme::RoundToNearest]
     } else {

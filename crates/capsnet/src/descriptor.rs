@@ -1,16 +1,20 @@
-//! Structural descriptors of the model zoo for external backends.
+//! The structure of a model as plain data: the only source of model
+//! geometry in the repository.
 //!
-//! The layer structs keep their tensors and geometry private; an execution
-//! backend that consumes exported weight blobs (such as the integer engine
-//! in `qcn-intinfer`) still needs the exact shapes, convolution specs and
-//! parameter registration order of every quantization group. This module
-//! exposes that structure as plain data: [`ShallowCaps::descriptor`] and
-//! [`DeepCaps::descriptor`] produce a [`ModelDesc`] whose per-group
-//! [`LayerDesc`]s list each parameter tensor's shape in the same order the
-//! models register (and `qcapsnets::export` packs) them.
+//! A [`ModelDesc`] lists a model's quantization groups in order, each a
+//! primitive [`LayerDesc`] or a DeepCaps [`BlockDesc`], with every
+//! parameter tensor's shape in registration order (the order
+//! `CapsNet::params` returns and `qcapsnets::export` packs them). Both
+//! engines execute it: `CapsModel::new` builds one layer per `LayerDesc`,
+//! and the integer engine in `qcn-intinfer` loads exported weight blobs
+//! against it. The architecture configs (`ShallowCapsConfig`,
+//! `DeepCapsConfig`) turn into a descriptor with `From`, which is where
+//! their geometry is derived. The quantization rule that maps a
+//! configuration onto the fields its groups read lives here too, as
+//! [`ModelDesc::canonical`].
 
 use crate::layers::Activation;
-use crate::models::{DeepCaps, ShallowCaps};
+use crate::quant::ModelQuant;
 use qcn_tensor::conv::Conv2dSpec;
 
 /// Geometry of one primitive layer, sufficient to re-execute it from raw
@@ -150,6 +154,43 @@ impl LayerDesc {
             .map(|s| s.iter().product::<usize>())
             .sum()
     }
+
+    /// Whether the layer runs dynamic routing (framework step 4A applies).
+    pub fn has_routing(&self) -> bool {
+        matches!(
+            self,
+            LayerDesc::ConvCapsRouting { .. } | LayerDesc::CapsFc { .. }
+        )
+    }
+
+    /// Spatial size of the output for an `hw` input. A capsule list
+    /// ([`LayerDesc::CapsFc`]) has no spatial axes and passes `hw` on.
+    pub fn output_hw(&self, hw: (usize, usize)) -> (usize, usize) {
+        match *self {
+            LayerDesc::Conv2d { spec, .. }
+            | LayerDesc::PrimaryCaps { spec, .. }
+            | LayerDesc::ConvCaps { spec, .. }
+            | LayerDesc::ConvCapsRouting { spec, .. } => spec.output_hw(hw.0, hw.1),
+            LayerDesc::CapsFc { .. } => hw,
+        }
+    }
+
+    /// Values the layer emits per sample for an `hw` input.
+    pub fn output_len(&self, hw: (usize, usize)) -> usize {
+        let (oh, ow) = self.output_hw(hw);
+        match *self {
+            LayerDesc::Conv2d { out_channels, .. } => out_channels * oh * ow,
+            LayerDesc::PrimaryCaps { types, dim, .. } | LayerDesc::ConvCaps { types, dim, .. } => {
+                types * dim * oh * ow
+            }
+            LayerDesc::ConvCapsRouting {
+                out_types, out_dim, ..
+            } => out_types * out_dim * oh * ow,
+            LayerDesc::CapsFc {
+                out_caps, out_dim, ..
+            } => out_caps * out_dim,
+        }
+    }
 }
 
 /// One DeepCaps residual block: `out = squash(main2(main1(x)) + skip(x))`.
@@ -178,27 +219,51 @@ pub enum GroupDesc {
 }
 
 impl GroupDesc {
+    /// The group's primitive layers in execution and registration order:
+    /// the layer itself, or a block's `main1`, `main2` and `skip`.
+    pub fn layers(&self) -> Vec<&LayerDesc> {
+        match self {
+            GroupDesc::Layer(l) => vec![l],
+            GroupDesc::Block(b) => vec![&b.main1, &b.main2, &b.skip],
+        }
+    }
+
     /// Shapes of all parameter tensors in the group, in registration order
     /// (`main1.weight, main1.bias, main2.weight, main2.bias, skip…` for
     /// blocks).
     pub fn param_shapes(&self) -> Vec<Vec<usize>> {
-        match self {
-            GroupDesc::Layer(l) => l.param_shapes(),
-            GroupDesc::Block(b) => {
-                let mut shapes = b.main1.param_shapes();
-                shapes.extend(b.main2.param_shapes());
-                shapes.extend(b.skip.param_shapes());
-                shapes
-            }
-        }
+        self.layers()
+            .into_iter()
+            .flat_map(LayerDesc::param_shapes)
+            .collect()
     }
 
     /// Total stored weights of the group.
     pub fn weight_count(&self) -> usize {
-        self.param_shapes()
-            .iter()
-            .map(|s| s.iter().product::<usize>())
-            .sum()
+        self.layers().into_iter().map(LayerDesc::weight_count).sum()
+    }
+
+    /// Whether any layer of the group runs dynamic routing.
+    pub fn has_routing(&self) -> bool {
+        self.layers().into_iter().any(LayerDesc::has_routing)
+    }
+
+    /// Spatial size of the group output for an `hw` input (a block's
+    /// output is its main branch's).
+    pub fn output_hw(&self, hw: (usize, usize)) -> (usize, usize) {
+        match self {
+            GroupDesc::Layer(l) => l.output_hw(hw),
+            GroupDesc::Block(b) => b.main2.output_hw(b.main1.output_hw(hw)),
+        }
+    }
+
+    /// Activation values the group stores per sample for an `hw` input.
+    /// Inside a block only the output is a stored activation.
+    pub fn output_len(&self, hw: (usize, usize)) -> usize {
+        match self {
+            GroupDesc::Layer(l) => l.output_len(hw),
+            GroupDesc::Block(b) => b.main2.output_len(b.main1.output_hw(hw)),
+        }
     }
 }
 
@@ -219,140 +284,45 @@ pub struct ModelDesc {
     pub groups: Vec<(String, GroupDesc)>,
 }
 
-impl ShallowCaps {
-    /// Structural descriptor of this model (groups `L1`, `L2`, `L3`).
-    pub fn descriptor(&self) -> ModelDesc {
-        let c = self.config();
-        let conv_spec = Conv2dSpec::new(c.conv_kernel, c.conv_kernel, 1, 0);
-        let (h1, w1) = conv_spec.output_hw(c.image_side, c.image_side);
-        let primary_spec = Conv2dSpec::new(c.primary_kernel, c.primary_kernel, c.primary_stride, 0);
-        let (oh, ow) = primary_spec.output_hw(h1, w1);
-        ModelDesc {
-            name: "ShallowCaps".into(),
-            in_channels: c.in_channels,
-            image_side: c.image_side,
-            num_classes: c.num_classes,
-            groups: vec![
-                (
-                    "L1".into(),
-                    GroupDesc::Layer(LayerDesc::Conv2d {
-                        in_channels: c.in_channels,
-                        out_channels: c.conv_channels,
-                        spec: conv_spec,
-                        activation: Activation::BoundedRelu,
-                    }),
-                ),
-                (
-                    "L2".into(),
-                    GroupDesc::Layer(LayerDesc::PrimaryCaps {
-                        in_channels: c.conv_channels,
-                        types: c.primary_types,
-                        dim: c.primary_dim,
-                        spec: primary_spec,
-                    }),
-                ),
-                (
-                    "L3".into(),
-                    GroupDesc::Layer(LayerDesc::CapsFc {
-                        in_caps: c.primary_types * oh * ow,
-                        in_dim: c.primary_dim,
-                        out_caps: c.num_classes,
-                        out_dim: c.digit_dim,
-                        iters: c.routing_iters,
-                    }),
-                ),
-            ],
-        }
-    }
-}
-
-impl DeepCaps {
-    /// Structural descriptor of this model (groups `L1`, `B2…`, `L<n>`).
-    pub fn descriptor(&self) -> ModelDesc {
-        let c = self.config();
-        let mut groups = Vec::with_capacity(c.blocks.len() + 2);
-        groups.push((
-            "L1".into(),
-            GroupDesc::Layer(LayerDesc::Conv2d {
-                in_channels: c.in_channels,
-                out_channels: c.conv_channels,
-                spec: Conv2dSpec::new(3, 3, 1, 1),
-                activation: Activation::BoundedRelu,
-            }),
-        ));
-        let mut in_channels = c.conv_channels;
-        let mut in_types_dim = (c.conv_channels, 1);
-        let mut side = c.image_side;
-        for (i, bc) in c.blocks.iter().enumerate() {
-            let last = i + 1 == c.blocks.len();
-            let out_channels = bc.types * bc.dim;
-            let stride_spec = Conv2dSpec::new(3, 3, bc.stride, 1);
-            let unit_spec = Conv2dSpec::new(3, 3, 1, 1);
-            let main1 = LayerDesc::ConvCaps {
-                in_channels,
-                types: bc.types,
-                dim: bc.dim,
-                spec: stride_spec,
-                squash: true,
-            };
-            let main2 = LayerDesc::ConvCaps {
-                in_channels: out_channels,
-                types: bc.types,
-                dim: bc.dim,
-                spec: unit_spec,
-                squash: false,
-            };
-            let skip = if last {
-                let (ti, di) = in_types_dim;
-                LayerDesc::ConvCapsRouting {
-                    in_types: ti,
-                    in_dim: di,
-                    out_types: bc.types,
-                    out_dim: bc.dim,
-                    spec: stride_spec,
-                    iters: c.routing_iters,
+impl ModelDesc {
+    /// Maps `config` onto a canonical form that selects the same
+    /// computation: fields a group's inference never reads are cleared and
+    /// the `Q_DR` fallback is resolved, so two configurations with equal
+    /// canonical forms produce bit-identical inference. Search-time caches
+    /// key on it, and the integer engine loads it.
+    ///
+    /// The rule, per group: `stream_frac` is read only by blocks (their
+    /// inner layers store at it). `Q_DR` is read only by routing groups,
+    /// and falls back to the width the routing layer stores at: `Qa` for a
+    /// layer, the streaming width inside a block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` has a different group count.
+    pub fn canonical(&self, config: &ModelQuant) -> ModelQuant {
+        assert_eq!(
+            config.layers.len(),
+            self.groups.len(),
+            "{} has {} quantization groups",
+            self.name,
+            self.groups.len()
+        );
+        let mut c = config.clone();
+        for ((_, group), lq) in self.groups.iter().zip(&mut c.layers) {
+            let stored = match group {
+                GroupDesc::Layer(_) => {
+                    lq.stream_frac = None;
+                    lq.act_frac
                 }
+                GroupDesc::Block(_) => lq.stream_frac,
+            };
+            lq.dr_frac = if group.has_routing() {
+                lq.dr_frac.or(stored)
             } else {
-                LayerDesc::ConvCaps {
-                    in_channels,
-                    types: bc.types,
-                    dim: bc.dim,
-                    spec: stride_spec,
-                    squash: false,
-                }
+                None
             };
-            groups.push((
-                format!("B{}", i + 2),
-                GroupDesc::Block(BlockDesc {
-                    main1,
-                    main2,
-                    skip,
-                    types: bc.types,
-                    dim: bc.dim,
-                }),
-            ));
-            in_channels = out_channels;
-            in_types_dim = (bc.types, bc.dim);
-            side = (side + 2 - 3) / bc.stride + 1;
         }
-        let last = c.blocks.last().expect("DeepCaps has at least one block");
-        groups.push((
-            format!("L{}", c.blocks.len() + 2),
-            GroupDesc::Layer(LayerDesc::CapsFc {
-                in_caps: last.types * side * side,
-                in_dim: last.dim,
-                out_caps: c.num_classes,
-                out_dim: c.digit_dim,
-                iters: c.routing_iters,
-            }),
-        ));
-        ModelDesc {
-            name: "DeepCaps".into(),
-            in_channels: c.in_channels,
-            image_side: c.image_side,
-            num_classes: c.num_classes,
-            groups,
-        }
+        c
     }
 }
 
@@ -360,7 +330,7 @@ impl DeepCaps {
 mod tests {
     use super::*;
     use crate::model::CapsNet;
-    use crate::models::{DeepCapsConfig, ShallowCapsConfig};
+    use crate::models::{DeepCaps, DeepCapsConfig, ShallowCaps, ShallowCapsConfig};
 
     #[test]
     fn shallow_descriptor_matches_group_metadata() {
@@ -412,6 +382,26 @@ mod tests {
             }
             _ => panic!("second-to-last group must be a block"),
         }
+    }
+
+    #[test]
+    fn canonical_resolves_dr_only_where_it_is_read() {
+        use crate::quant::ModelQuant;
+        use qcn_fixed::RoundingScheme;
+        let desc = DeepCaps::new(DeepCapsConfig::small(1), 0).descriptor();
+        let mut config = ModelQuant::uniform(4, 5, RoundingScheme::RoundToNearest);
+        for (g, lq) in config.layers.iter_mut().enumerate() {
+            lq.dr_frac = (g % 2 == 1).then_some(3);
+            lq.stream_frac = Some(4 + g as u8);
+        }
+        let c = desc.canonical(&config);
+        let dr: Vec<_> = c.layers.iter().map(|l| l.dr_frac).collect();
+        let stream: Vec<_> = c.layers.iter().map(|l| l.stream_frac).collect();
+        // L1 and B2 never route; B3 falls back to its streaming width; L4
+        // keeps its explicit Q_DR.
+        assert_eq!(dr, [None, None, Some(6), Some(3)]);
+        // Only blocks stream.
+        assert_eq!(stream, [None, Some(5), Some(6), None]);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub struct CapsFc {
     weight: Tensor, // [in_caps, out_caps, in_dim, out_dim]
     in_caps: usize,
     out_caps: usize,
-    in_dim: usize,
     out_dim: usize,
     routing_iters: usize,
 }
@@ -51,35 +50,9 @@ impl CapsFc {
             ),
             in_caps,
             out_caps,
-            in_dim,
             out_dim,
             routing_iters,
         }
-    }
-
-    /// Number of routing iterations (3 in the paper).
-    pub fn routing_iters(&self) -> usize {
-        self.routing_iters
-    }
-
-    /// Output capsule count.
-    pub fn out_caps(&self) -> usize {
-        self.out_caps
-    }
-
-    /// Output capsule dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Input capsule dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Total number of stored weights.
-    pub fn weight_count(&self) -> usize {
-        self.weight.len()
     }
 
     /// Parameters in registration order (transformation weight only).
@@ -149,11 +122,6 @@ impl CapsFc {
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
         self.weight = ctx.round(self.weight.clone(), frac);
-    }
-
-    /// Output activation count per sample.
-    pub fn activation_count(&self) -> usize {
-        self.out_caps * self.out_dim
     }
 }
 

@@ -33,7 +33,7 @@ pub enum Activation {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let layer = Conv2dLayer::new(1, 8, Conv2dSpec::new(3, 3, 1, 1),
 ///                               qcn_capsnet::layers::Activation::BoundedRelu, &mut rng);
-/// assert_eq!(layer.weight_count(), 8 * 1 * 3 * 3 + 8);
+/// assert_eq!(layer.params()[0].dims(), &[8, 1, 3, 3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2dLayer {
@@ -59,16 +59,6 @@ impl Conv2dLayer {
             spec,
             activation,
         }
-    }
-
-    /// The convolution geometry.
-    pub fn spec(&self) -> Conv2dSpec {
-        self.spec
-    }
-
-    /// Total number of stored weights (kernel + bias).
-    pub fn weight_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 
     /// Parameters in registration order (weight, bias).
@@ -139,22 +129,6 @@ impl Conv2dLayer {
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
         self.weight = ctx.round(self.weight.clone(), frac);
         self.bias = ctx.round(self.bias.clone(), frac);
-    }
-
-    /// Output activation count for one sample of `h × w` input.
-    pub fn activation_count(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = self.spec.output_hw(h, w);
-        self.weight.dims()[0] * oh * ow
-    }
-
-    /// Spatial output size.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        self.spec.output_hw(h, w)
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.weight.dims()[0]
     }
 }
 
@@ -230,12 +204,5 @@ mod tests {
         // Idempotent: re-quantizing at the same width is a no-op.
         layer.quantize_weights(Some(4), &mut ctx);
         assert_eq!(&after, layer.params()[0]);
-    }
-
-    #[test]
-    fn activation_count_matches_geometry() {
-        let layer = layer();
-        assert_eq!(layer.activation_count(6, 6), 4 * 6 * 6);
-        assert_eq!(layer.output_hw(6, 6), (6, 6));
     }
 }

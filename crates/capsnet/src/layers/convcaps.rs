@@ -64,11 +64,6 @@ impl ConvCaps {
         }
     }
 
-    /// Total number of stored weights (kernel + bias).
-    pub fn weight_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
-
     /// Parameters in registration order (weight, bias).
     pub fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight, &self.bias]
@@ -126,22 +121,6 @@ impl ConvCaps {
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
         self.weight = ctx.round(self.weight.clone(), frac);
         self.bias = ctx.round(self.bias.clone(), frac);
-    }
-
-    /// Output activation count for one sample of `h × w` input.
-    pub fn activation_count(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = self.spec.output_hw(h, w);
-        self.out_types * self.out_dim * oh * ow
-    }
-
-    /// Spatial output size.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        self.spec.output_hw(h, w)
-    }
-
-    /// Packed output channel count (`types · dim`).
-    pub fn out_channels(&self) -> usize {
-        self.out_types * self.out_dim
     }
 }
 
@@ -202,11 +181,6 @@ impl ConvCapsRouting {
         }
     }
 
-    /// Total number of stored weights.
-    pub fn weight_count(&self) -> usize {
-        self.weight.len()
-    }
-
     /// Parameters in registration order (vote kernel only).
     pub fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight]
@@ -215,12 +189,6 @@ impl ConvCapsRouting {
     /// Mutable parameters in registration order.
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight]
-    }
-
-    /// Returns `true`: this layer performs dynamic routing (framework step
-    /// 4A applies).
-    pub fn has_routing(&self) -> bool {
-        true
     }
 
     /// Training-time forward with backprop through the routing loop.
@@ -323,22 +291,6 @@ impl ConvCapsRouting {
     /// Rounds the stored weights onto the `frac`-bit grid.
     pub fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
         self.weight = ctx.round(self.weight.clone(), frac);
-    }
-
-    /// Output activation count for one sample of `h × w` input.
-    pub fn activation_count(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = self.spec.output_hw(h, w);
-        self.out_types * self.out_dim * oh * ow
-    }
-
-    /// Spatial output size.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        self.spec.output_hw(h, w)
-    }
-
-    /// Packed output channel count (`types · dim`).
-    pub fn out_channels(&self) -> usize {
-        self.out_types * self.out_dim
     }
 }
 

@@ -8,6 +8,9 @@
 //! * `infer(x, layer_quant, ctx)` — inference with the quantization hooks
 //!   of paper Fig. 9 (activations at `Qa`, routing data at `Q_DR`);
 //! * `quantize_weights(frac, ctx)` — one-shot weight rounding (`Qw`).
+//!
+//! A model holds them as [`Layer`]s, one per
+//! [`LayerDesc`](crate::descriptor::LayerDesc) of its descriptor.
 
 mod capsfc;
 mod conv;
@@ -20,9 +23,114 @@ pub use conv::{Activation, Conv2dLayer};
 pub use convcaps::{ConvCaps, ConvCapsRouting};
 pub use primary::PrimaryCaps;
 
+use crate::descriptor::LayerDesc;
 use crate::quant::{LayerQuant, QuantCtx};
+use qcn_autograd::{Graph, Var};
 use qcn_fixed::FusedQuant;
 use qcn_tensor::{parallel, Tensor};
+use rand::Rng;
+
+/// One primitive layer, built from its [`LayerDesc`].
+#[derive(Debug, Clone)]
+pub(crate) enum Layer {
+    Conv2d(Conv2dLayer),
+    PrimaryCaps(PrimaryCaps),
+    ConvCaps(ConvCaps),
+    ConvCapsRouting(ConvCapsRouting),
+    CapsFc(CapsFc),
+}
+
+/// Evaluates `$body` with `$l` bound to the concrete layer inside `$layer`.
+macro_rules! each_layer {
+    ($layer:expr, $l:ident => $body:expr) => {
+        match $layer {
+            Layer::Conv2d($l) => $body,
+            Layer::PrimaryCaps($l) => $body,
+            Layer::ConvCaps($l) => $body,
+            Layer::ConvCapsRouting($l) => $body,
+            Layer::CapsFc($l) => $body,
+        }
+    };
+}
+
+impl Layer {
+    /// Builds the layer `desc` describes, drawing its initial weights
+    /// from `rng`.
+    pub(crate) fn new(desc: &LayerDesc, rng: &mut impl Rng) -> Self {
+        match *desc {
+            LayerDesc::Conv2d {
+                in_channels,
+                out_channels,
+                spec,
+                activation,
+            } => Layer::Conv2d(Conv2dLayer::new(
+                in_channels,
+                out_channels,
+                spec,
+                activation,
+                rng,
+            )),
+            LayerDesc::PrimaryCaps {
+                in_channels,
+                types,
+                dim,
+                spec,
+            } => Layer::PrimaryCaps(PrimaryCaps::new(in_channels, types, dim, spec, rng)),
+            LayerDesc::ConvCaps {
+                in_channels,
+                types,
+                dim,
+                spec,
+                squash,
+            } => Layer::ConvCaps(ConvCaps::new(in_channels, types, dim, spec, squash, rng)),
+            LayerDesc::ConvCapsRouting {
+                in_types,
+                in_dim,
+                out_types,
+                out_dim,
+                spec,
+                iters,
+            } => Layer::ConvCapsRouting(ConvCapsRouting::new(
+                in_types, in_dim, out_types, out_dim, spec, iters, rng,
+            )),
+            LayerDesc::CapsFc {
+                in_caps,
+                in_dim,
+                out_caps,
+                out_dim,
+                iters,
+            } => Layer::CapsFc(CapsFc::new(in_caps, in_dim, out_caps, out_dim, iters, rng)),
+        }
+    }
+
+    /// Parameters in registration order.
+    pub(crate) fn params(&self) -> Vec<&Tensor> {
+        each_layer!(self, l => l.params())
+    }
+
+    /// Mutable parameters in registration order.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        each_layer!(self, l => l.params_mut())
+    }
+
+    /// Training-time forward; takes this layer's parameter vars off the
+    /// front of `pvars`.
+    pub(crate) fn forward(&self, g: &mut Graph, x: Var, pvars: &mut &[Var]) -> Var {
+        let (own, rest) = pvars.split_at(self.params().len());
+        *pvars = rest;
+        each_layer!(self, l => l.forward(g, x, own))
+    }
+
+    /// Quantized inference.
+    pub(crate) fn infer(&self, x: &Tensor, lq: &LayerQuant, ctx: &mut QuantCtx) -> Tensor {
+        each_layer!(self, l => l.infer(x, lq, ctx))
+    }
+
+    /// Rounds the stored weights onto the `frac`-bit grid.
+    pub(crate) fn quantize_weights(&mut self, frac: Option<u8>, ctx: &mut QuantCtx) {
+        each_layer!(self, l => l.quantize_weights(frac, ctx))
+    }
+}
 
 /// Inference-path capsule vote computation:
 /// `û[b,i,j,·] = u[b,i,·] · W[i,j,·,·]` (paper Fig. 6, step 1).

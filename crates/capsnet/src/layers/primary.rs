@@ -55,22 +55,6 @@ impl PrimaryCaps {
         }
     }
 
-    /// Capsule vector dimensionality.
-    pub fn caps_dim(&self) -> usize {
-        self.caps_dim
-    }
-
-    /// Number of capsules produced for an `h × w` input.
-    pub fn num_caps(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = self.spec.output_hw(h, w);
-        self.caps_types * oh * ow
-    }
-
-    /// Total number of stored weights (kernel + bias).
-    pub fn weight_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
-
     /// Parameters in registration order (weight, bias).
     pub fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight, &self.bias]
@@ -121,16 +105,6 @@ impl PrimaryCaps {
         self.weight = ctx.round(self.weight.clone(), frac);
         self.bias = ctx.round(self.bias.clone(), frac);
     }
-
-    /// Output activation count for one sample of `h × w` input.
-    pub fn activation_count(&self, h: usize, w: usize) -> usize {
-        self.num_caps(h, w) * self.caps_dim
-    }
-
-    /// Spatial output size.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        self.spec.output_hw(h, w)
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +128,6 @@ mod tests {
         let caps = layer.infer(&x, &LayerQuant::full_precision(), &mut ctx);
         // (7-3)/2+1 = 3 → 3 types × 9 positions = 27 capsules of dim 4.
         assert_eq!(caps.dims(), &[2, 27, 4]);
-        assert_eq!(layer.num_caps(7, 7), 27);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Capsule Network models and training stack for the Q-CapsNets
 //! reproduction (Marchisio et al., DAC 2020): the layer zoo (conv stem,
 //! PrimaryCaps, dynamically routed capsule layers, DeepCaps ConvCaps),
-//! the ShallowCaps and DeepCaps architectures, the margin loss, Adam, a
-//! training loop, and — crucially for the paper — *quantized inference*
+//! one model type ([`CapsModel`]) built from a structural
+//! [`descriptor::ModelDesc`] — the ShallowCaps and DeepCaps architectures
+//! are configs that turn into one — the margin loss, Adam, a training
+//! loop, and — crucially for the paper — *quantized inference*
 //! with per-layer `Qw`/`Qa`/`Q_DR` hooks at the exact rounding points of
 //! paper Fig. 9.
 //!
@@ -46,7 +48,9 @@ pub use metrics::{confusion_matrix, ConfusionMatrix};
 #[doc(hidden)]
 pub use model::stage_span;
 pub use model::{accuracy, argmax_caps, CapsNet, GroupInfo};
-pub use models::{BlockConfig, DeepCaps, DeepCapsConfig, ShallowCaps, ShallowCapsConfig};
+pub use models::{
+    BlockConfig, CapsModel, DeepCaps, DeepCapsConfig, ShallowCaps, ShallowCapsConfig,
+};
 pub use optim::Adam;
 pub use quant::{LayerQuant, ModelQuant, QuantCtx};
 pub use train::{train, train_step, train_step_with_reconstruction, TrainConfig, TrainReport};

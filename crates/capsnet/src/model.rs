@@ -1,6 +1,8 @@
-//! The [`CapsNet`] trait: the contract between concrete architectures
-//! (ShallowCaps, DeepCaps) and the Q-CapsNets quantization framework.
+//! The [`CapsNet`] trait: the contract between a model
+//! ([`CapsModel`](crate::CapsModel), whatever its architecture) and the
+//! Q-CapsNets quantization framework.
 
+use crate::descriptor::ModelDesc;
 use crate::quant::{ModelQuant, QuantCtx};
 use qcn_autograd::{Graph, Var};
 use qcn_tensor::Tensor;
@@ -35,6 +37,9 @@ pub trait CapsNet: Clone {
 
     /// Number of output classes.
     fn num_classes(&self) -> usize;
+
+    /// The model's structure: every group's layers and geometry.
+    fn descriptor(&self) -> ModelDesc;
 
     /// The quantization groups, in order from input to output.
     fn groups(&self) -> Vec<GroupInfo>;
@@ -118,15 +123,10 @@ pub trait CapsNet: Clone {
     }
 
     /// Maps `config` onto a canonical form that selects the same
-    /// computation: fields a group's inference never reads are cleared and
-    /// fallback chains (e.g. `Q_DR` defaulting to `Qa`) are resolved, so
-    /// that two configurations with equal canonical forms are guaranteed
-    /// to produce bit-identical inference. Search-time caches key on this
-    /// to avoid re-evaluating equivalent configurations. The default is the
-    /// identity (always sound, never merges).
-    fn canonical_config(&self, config: &ModelQuant) -> ModelQuant {
-        config.clone()
-    }
+    /// computation ([`ModelDesc::canonical`]): two configurations with
+    /// equal canonical forms produce bit-identical inference, so
+    /// search-time caches key on it.
+    fn canonical_config(&self, config: &ModelQuant) -> ModelQuant;
 
     /// Returns a copy whose stored weights are rounded group-by-group to
     /// `config.layers[g].weight_frac` bits with `config.scheme`.

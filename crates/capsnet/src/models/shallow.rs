@@ -1,14 +1,9 @@
 //! The ShallowCaps architecture (Sabour et al., NIPS 2017; paper Fig. 5):
 //! Conv → PrimaryCaps → DigitCaps with dynamic routing.
 
-use crate::layers::{Activation, CapsFc, Conv2dLayer, PrimaryCaps};
-use crate::model::{CapsNet, GroupInfo};
-use crate::quant::{ModelQuant, QuantCtx};
-use qcn_autograd::{Graph, Var};
+use crate::descriptor::{GroupDesc, LayerDesc, ModelDesc};
+use crate::layers::Activation;
 use qcn_tensor::conv::Conv2dSpec;
-use qcn_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Hyperparameters of a ShallowCaps instance.
 ///
@@ -82,193 +77,55 @@ impl ShallowCapsConfig {
     }
 }
 
-/// The ShallowCaps model: three quantization groups (L1, L2, L3).
-///
-/// # Examples
-///
-/// ```
-/// use qcn_capsnet::{accuracy, CapsNet, ModelQuant, ShallowCaps, ShallowCapsConfig};
-/// use qcn_datasets::SynthKind;
-///
-/// let model = ShallowCaps::new(ShallowCapsConfig::small(1), 42);
-/// assert_eq!(model.groups().len(), 3);
-/// let test = SynthKind::Mnist.generate(20, 0);
-/// // Untrained accuracy is near chance but the pipeline runs end to end.
-/// let acc = accuracy(&model, &test, &ModelQuant::full_precision(3), 10);
-/// assert!((0.0..=1.0).contains(&acc));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShallowCaps {
-    config: ShallowCapsConfig,
-    conv: Conv2dLayer,
-    primary: PrimaryCaps,
-    digit: CapsFc,
-}
-
-impl ShallowCaps {
-    /// Builds the model with seeded random initialisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured kernels do not fit the image.
-    pub fn new(config: ShallowCapsConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let conv_spec = Conv2dSpec::new(config.conv_kernel, config.conv_kernel, 1, 0);
-        let conv = Conv2dLayer::new(
-            config.in_channels,
-            config.conv_channels,
-            conv_spec,
-            Activation::BoundedRelu,
-            &mut rng,
-        );
-        let (h1, w1) = conv_spec.output_hw(config.image_side, config.image_side);
-        let primary_spec = Conv2dSpec::new(
-            config.primary_kernel,
-            config.primary_kernel,
-            config.primary_stride,
-            0,
-        );
-        let primary = PrimaryCaps::new(
-            config.conv_channels,
-            config.primary_types,
-            config.primary_dim,
-            primary_spec,
-            &mut rng,
-        );
-        let num_caps = primary.num_caps(h1, w1);
-        let digit = CapsFc::new(
-            num_caps,
-            config.primary_dim,
-            config.num_classes,
-            config.digit_dim,
-            config.routing_iters,
-            &mut rng,
-        );
-        ShallowCaps {
-            config,
-            conv,
-            primary,
-            digit,
+impl From<ShallowCapsConfig> for ModelDesc {
+    /// The ShallowCaps structure: groups `L1` (conv stem), `L2`
+    /// (PrimaryCaps) and `L3` (routed DigitCaps).
+    fn from(c: ShallowCapsConfig) -> ModelDesc {
+        let conv = LayerDesc::Conv2d {
+            in_channels: c.in_channels,
+            out_channels: c.conv_channels,
+            spec: Conv2dSpec::new(c.conv_kernel, c.conv_kernel, 1, 0),
+            activation: Activation::BoundedRelu,
+        };
+        let primary = LayerDesc::PrimaryCaps {
+            in_channels: c.conv_channels,
+            types: c.primary_types,
+            dim: c.primary_dim,
+            spec: Conv2dSpec::new(c.primary_kernel, c.primary_kernel, c.primary_stride, 0),
+        };
+        let (oh, ow) = primary.output_hw(conv.output_hw((c.image_side, c.image_side)));
+        let digit = LayerDesc::CapsFc {
+            in_caps: c.primary_types * oh * ow,
+            in_dim: c.primary_dim,
+            out_caps: c.num_classes,
+            out_dim: c.digit_dim,
+            iters: c.routing_iters,
+        };
+        ModelDesc {
+            name: "ShallowCaps".into(),
+            in_channels: c.in_channels,
+            image_side: c.image_side,
+            num_classes: c.num_classes,
+            groups: vec![
+                ("L1".into(), GroupDesc::Layer(conv)),
+                ("L2".into(), GroupDesc::Layer(primary)),
+                ("L3".into(), GroupDesc::Layer(digit)),
+            ],
         }
-    }
-
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &ShallowCapsConfig {
-        &self.config
-    }
-
-    fn conv_hw(&self) -> (usize, usize) {
-        self.conv
-            .output_hw(self.config.image_side, self.config.image_side)
-    }
-}
-
-impl CapsNet for ShallowCaps {
-    fn name(&self) -> &str {
-        "ShallowCaps"
-    }
-
-    fn num_classes(&self) -> usize {
-        self.config.num_classes
-    }
-
-    fn groups(&self) -> Vec<GroupInfo> {
-        let (h1, w1) = self.conv_hw();
-        vec![
-            GroupInfo {
-                name: "L1".into(),
-                weight_count: self.conv.weight_count(),
-                activation_count: self
-                    .conv
-                    .activation_count(self.config.image_side, self.config.image_side),
-                has_routing: false,
-            },
-            GroupInfo {
-                name: "L2".into(),
-                weight_count: self.primary.weight_count(),
-                activation_count: self.primary.activation_count(h1, w1),
-                has_routing: false,
-            },
-            GroupInfo {
-                name: "L3".into(),
-                weight_count: self.digit.weight_count(),
-                activation_count: self.digit.activation_count(),
-                has_routing: true,
-            },
-        ]
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        let mut p = self.conv.params();
-        p.extend(self.primary.params());
-        p.extend(self.digit.params());
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut p = self.conv.params_mut();
-        p.extend(self.primary.params_mut());
-        p.extend(self.digit.params_mut());
-        p
-    }
-
-    fn forward(&self, g: &mut Graph, x: Var, pvars: &[Var]) -> Var {
-        let y = self.conv.forward(g, x, &pvars[0..2]);
-        let caps = self.primary.forward(g, y, &pvars[2..4]);
-        self.digit.forward(g, caps, &pvars[4..5])
-    }
-
-    fn infer_stage(
-        &self,
-        stage: usize,
-        x: &Tensor,
-        config: &ModelQuant,
-        ctx: &mut QuantCtx,
-    ) -> Tensor {
-        assert_eq!(config.layers.len(), 3, "ShallowCaps has 3 groups");
-        ctx.enter_stage(stage, x.data(), x.dims()[0], |v| v);
-        match stage {
-            0 => self.conv.infer(x, &config.layers[0], ctx),
-            1 => self.primary.infer(x, &config.layers[1], ctx),
-            2 => self.digit.infer(x, &config.layers[2], ctx),
-            s => panic!("ShallowCaps has 3 stages, got stage {s}"),
-        }
-    }
-
-    fn canonical_config(&self, config: &ModelQuant) -> ModelQuant {
-        assert_eq!(config.layers.len(), 3, "ShallowCaps has 3 groups");
-        let mut c = config.clone();
-        for (l, lq) in c.layers.iter_mut().enumerate() {
-            // Only the routed DigitCaps layer reads Q_DR (as
-            // `effective_dr_frac`, falling back to `Qa`); no ShallowCaps
-            // layer reads `stream_frac`.
-            lq.dr_frac = if l == 2 { lq.effective_dr_frac() } else { None };
-            lq.stream_frac = None;
-        }
-        c
-    }
-
-    fn with_quantized_weights(&self, config: &ModelQuant) -> Self {
-        assert_eq!(config.layers.len(), 3, "ShallowCaps has 3 groups");
-        let mut ctx = QuantCtx::from_config(config);
-        let mut out = self.clone();
-        ctx.enter_weights(0);
-        out.conv
-            .quantize_weights(config.layers[0].weight_frac, &mut ctx);
-        ctx.enter_weights(1);
-        out.primary
-            .quantize_weights(config.layers[1].weight_frac, &mut ctx);
-        ctx.enter_weights(2);
-        out.digit
-            .quantize_weights(config.layers[2].weight_frac, &mut ctx);
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CapsNet;
+    use crate::models::ShallowCaps;
+    use crate::quant::{ModelQuant, QuantCtx};
+    use qcn_autograd::Graph;
     use qcn_fixed::RoundingScheme;
+    use qcn_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn model() -> ShallowCaps {
         ShallowCaps::new(ShallowCapsConfig::small(1), 0)

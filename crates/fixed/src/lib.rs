@@ -4,8 +4,10 @@
 //! (Marchisio et al., DAC 2020, §II-B): the Q⟨QI.QF⟩ [`QFormat`], the three
 //! [`RoundingScheme`]s the paper searches over (truncation,
 //! round-to-nearest, stochastic), tensor-level fake quantization
-//! ([`Quantizer`]) and a true integer fixed-point scalar ([`Fx`]) used to
-//! validate the fake-quantization path against real hardware arithmetic.
+//! ([`Quantizer`]), and the integer arithmetic a hardware datapath runs on
+//! raw two's-complement words: shift-based requantization
+//! ([`requant_raw`]) and the squash and softmax units ([`int_squash`],
+//! [`int_softmax`]).
 //!
 //! # Examples
 //!
@@ -27,15 +29,13 @@
 #![warn(missing_docs)]
 
 mod format;
-mod fx;
 mod quantize;
 mod requant;
 mod rounding;
 mod units;
 
 pub use format::QFormat;
-pub use fx::Fx;
 pub use quantize::{FusedQuant, QuantizationStats, Quantizer};
 pub use requant::{requant_raw, requant_slice_with};
 pub use rounding::{sr_key, sr_uniform, RoundingScheme};
-pub use units::{fx_softmax, fx_squash, int_softmax, int_squash};
+pub use units::{int_softmax, int_squash};

@@ -261,6 +261,24 @@ mod tests {
     }
 
     #[test]
+    fn widening_past_i64_saturates_instead_of_overflowing() {
+        // A near-range value crossing from a coarse to a very fine format:
+        // the raw left shift exceeds i64 and must saturate, not wrap.
+        let coarse = QFormat::new(60, 2);
+        let fine = QFormat::new(2, 40);
+        for scheme in RoundingScheme::EXTENDED {
+            assert_eq!(
+                requant_raw(scheme, coarse.max_raw(), 2, fine, 0.5),
+                fine.max_raw()
+            );
+            assert_eq!(
+                requant_raw(scheme, coarse.min_raw(), 2, fine, 0.5),
+                fine.min_raw()
+            );
+        }
+    }
+
+    #[test]
     fn negative_values_floor_toward_negative_infinity() {
         let out = QFormat::with_frac(2);
         // −0.3125 (raw −5 at 4 frac bits) truncates to −0.5 (raw −2).

@@ -8,7 +8,7 @@
 //! accuracy numbers are achievable with real fixed-point hardware, and
 //! they ground the energy/area models of `qcn-hwmodel`.
 
-use crate::{Fx, QFormat};
+use crate::QFormat;
 
 /// Integer square root of a `u128` (largest `r` with `r² ≤ x`), by
 /// Newton's method with a monotone correction step.
@@ -30,45 +30,14 @@ fn isqrt_u128(x: u128) -> u128 {
     r
 }
 
-/// Fixed-point squash unit (paper Eq. 2), operating on one capsule vector.
+/// Fixed-point squash unit (paper Eq. 2) on one raw capsule vector, in
+/// place: two's-complement raw values held in `format`.
 ///
-/// All arithmetic is on raw two's-complement integers in the vector's
-/// [`QFormat`](crate::QFormat); intermediates use widened integer precision exactly as a
-/// hardware implementation would (the squared norm needs `2·NF`
-/// fractional bits, the square root halves them back).
-///
-/// # Panics
-///
-/// Panics when `caps` is empty or its elements disagree on format.
-///
-/// # Examples
-///
-/// ```
-/// use qcn_fixed::{fx_squash, Fx, QFormat};
-///
-/// let q = QFormat::new(2, 8);
-/// let v = [Fx::from_f32(0.6, q), Fx::from_f32(0.8, q)];
-/// let squashed = fx_squash(&v);
-/// // ‖v‖ = 1 → output length = 1/(1+1) = 0.5, direction preserved.
-/// assert!((squashed[0].to_f32() - 0.3).abs() < 0.02);
-/// assert!((squashed[1].to_f32() - 0.4).abs() < 0.02);
-/// ```
-pub fn fx_squash(caps: &[Fx]) -> Vec<Fx> {
-    assert!(!caps.is_empty(), "squash of empty capsule");
-    let format = caps[0].format();
-    assert!(
-        caps.iter().all(|c| c.format() == format),
-        "mixed formats in capsule"
-    );
-    let mut raw: Vec<i64> = caps.iter().map(Fx::raw).collect();
-    int_squash(&mut raw, format);
-    raw.into_iter().map(|r| Fx::from_raw(r, format)).collect()
-}
-
-/// Integer squash on a raw capsule slice (in place): the tensor-level form
-/// of [`fx_squash`], operating directly on two's-complement raw values held
-/// in `format`. This is the datapath the `qcn-intinfer` integer backend
-/// runs on whole capsule tensors, one capsule vector per call.
+/// All arithmetic is on raw integers, with widened intermediates exactly
+/// as a hardware implementation would use (the squared norm needs `2·NF`
+/// fractional bits, the square root halves them back). The `qcn-intinfer`
+/// integer backend runs it on whole capsule tensors, one capsule vector
+/// per call.
 ///
 /// Accuracy versus the `f32` reference squash on the same (dequantized)
 /// inputs, measured by exhaustive sweeps in this module's tests: within
@@ -81,6 +50,20 @@ pub fn fx_squash(caps: &[Fx]) -> Vec<Fx> {
 /// # Panics
 ///
 /// Panics when `caps` is empty.
+///
+/// # Examples
+///
+/// ```
+/// use qcn_fixed::{int_squash, QFormat};
+///
+/// let q = QFormat::new(2, 8);
+/// // (0.6, 0.8) truncated onto the 2^-8 grid.
+/// let mut v = [153, 204];
+/// int_squash(&mut v, q);
+/// // ‖v‖ = 1 → output length = 1/(1+1) = 0.5, direction preserved.
+/// assert!((v[0] as f32 * q.precision() - 0.3).abs() < 0.02);
+/// assert!((v[1] as f32 * q.precision() - 0.4).abs() < 0.02);
+/// ```
 pub fn int_squash(caps: &mut [i64], format: QFormat) {
     assert!(!caps.is_empty(), "squash of empty capsule");
     let nf = format.frac_bits() as u32;
@@ -140,43 +123,15 @@ fn exp_neg_raw(raw: i64, nf: u32, out_frac: u32) -> u128 {
     shifted >> int_part
 }
 
-/// Fixed-point softmax unit (paper Eq. 1), operating on one logit vector.
+/// Fixed-point softmax unit (paper Eq. 1) on one raw logit vector, in
+/// place: two's-complement raw values held in `format`, result in the
+/// same format.
 ///
 /// Subtracts the maximum (so every exponent is ≤ 0, as hardware
 /// implementations do), evaluates a shift-and-add exponential, and
-/// normalises with one integer division per element. The result is in the
-/// input's format.
-///
-/// # Panics
-///
-/// Panics when `logits` is empty or formats disagree.
-///
-/// # Examples
-///
-/// ```
-/// use qcn_fixed::{fx_softmax, Fx, QFormat};
-///
-/// let q = QFormat::new(4, 8);
-/// let logits = [Fx::from_f32(1.0, q), Fx::from_f32(1.0, q)];
-/// let probs = fx_softmax(&logits);
-/// assert!((probs[0].to_f32() - 0.5).abs() < 0.01);
-/// ```
-pub fn fx_softmax(logits: &[Fx]) -> Vec<Fx> {
-    assert!(!logits.is_empty(), "softmax of empty vector");
-    let format = logits[0].format();
-    assert!(
-        logits.iter().all(|c| c.format() == format),
-        "mixed formats in logits"
-    );
-    let mut raw: Vec<i64> = logits.iter().map(Fx::raw).collect();
-    int_softmax(&mut raw, format);
-    raw.into_iter().map(|r| Fx::from_raw(r, format)).collect()
-}
-
-/// Integer softmax on a raw logit slice (in place): the tensor-level form
-/// of [`fx_softmax`], operating directly on two's-complement raw values
-/// held in `format`. The `qcn-intinfer` integer backend calls this on each
-/// routing-logit row when executing dynamic routing on integers.
+/// normalises with one integer division per element. The `qcn-intinfer`
+/// integer backend calls it on each routing-logit row when executing
+/// dynamic routing on integers.
 ///
 /// Accuracy versus the `f32` reference softmax on the same (dequantized)
 /// inputs, measured by exhaustive sweeps in this module's tests: within
@@ -187,6 +142,17 @@ pub fn fx_softmax(logits: &[Fx]) -> Vec<Fx> {
 /// # Panics
 ///
 /// Panics when `logits` is empty.
+///
+/// # Examples
+///
+/// ```
+/// use qcn_fixed::{int_softmax, QFormat};
+///
+/// let q = QFormat::new(4, 8);
+/// let mut logits = [256, 256]; // (1.0, 1.0)
+/// int_softmax(&mut logits, q);
+/// assert!((logits[0] as f32 * q.precision() - 0.5).abs() < 0.01);
+/// ```
 pub fn int_softmax(logits: &mut [i64], format: QFormat) {
     assert!(!logits.is_empty(), "softmax of empty vector");
     let nf = format.frac_bits() as u32;
@@ -206,7 +172,7 @@ pub fn int_softmax(logits: &mut [i64], format: QFormat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QFormat;
+    use crate::{QFormat, RoundingScheme};
     use qcn_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -225,94 +191,91 @@ mod tests {
         assert_eq!(isqrt_u128(8), 2);
     }
 
+    /// `v` truncated onto the grid of `q`, as a raw word.
+    fn raw(v: f32, q: QFormat) -> i64 {
+        (RoundingScheme::Truncation.round_raw(v, q, 0.0) / q.precision()) as i64
+    }
+
     #[test]
-    fn fx_squash_matches_f32_reference() {
+    fn int_squash_matches_f32_reference() {
         let q = QFormat::new(2, 10);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..100 {
             let dim = rng.gen_range(2..9);
-            let vals: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.2..1.2)).collect();
-            let fx: Vec<Fx> = vals.iter().map(|&v| Fx::from_f32(v, q)).collect();
-            let fx_out = fx_squash(&fx);
+            let mut v: Vec<i64> = (0..dim).map(|_| raw(rng.gen_range(-1.2..1.2), q)).collect();
             // Reference on the *quantized* inputs.
-            let quantized: Vec<f32> = fx.iter().map(Fx::to_f32).collect();
-            let t = Tensor::from_vec(quantized, [1, dim]).unwrap();
-            let reference = t.squash_axis(1);
-            for (out, i) in fx_out.iter().zip(0..dim) {
-                let want = reference.get(&[0, i]);
+            let quantized: Vec<f32> = v.iter().map(|&r| r as f32 * q.precision()).collect();
+            let reference = Tensor::from_vec(quantized, [1, dim])
+                .unwrap()
+                .squash_axis(1);
+            int_squash(&mut v, q);
+            for (i, &out) in v.iter().enumerate() {
+                let (got, want) = (out as f32 * q.precision(), reference.get(&[0, i]));
                 assert!(
-                    (out.to_f32() - want).abs() < 3.0 * q.precision(),
-                    "dim {dim}: {} vs {want}",
-                    out.to_f32()
+                    (got - want).abs() < 3.0 * q.precision(),
+                    "dim {dim}: {got} vs {want}"
                 );
             }
         }
     }
 
     #[test]
-    fn fx_squash_zero_vector() {
-        let q = QFormat::new(2, 8);
-        let out = fx_squash(&[Fx::zero(q); 4]);
-        assert!(out.iter().all(|x| x.raw() == 0));
+    fn int_squash_zero_vector() {
+        let mut v = [0i64; 4];
+        int_squash(&mut v, QFormat::new(2, 8));
+        assert!(v.iter().all(|&x| x == 0));
     }
 
     #[test]
-    fn fx_squash_output_length_below_one() {
+    fn int_squash_output_length_below_one() {
         let q = QFormat::new(2, 10);
-        let v = [Fx::from_f32(1.5, q), Fx::from_f32(-1.5, q)];
-        let out = fx_squash(&v);
-        let norm: f32 = out
+        let mut v = [raw(1.5, q), raw(-1.5, q)];
+        int_squash(&mut v, q);
+        let norm: f32 = v
             .iter()
-            .map(|x| x.to_f32() * x.to_f32())
+            .map(|&x| (x as f32 * q.precision()).powi(2))
             .sum::<f32>()
             .sqrt();
         assert!(norm < 1.0, "{norm}");
     }
 
     #[test]
-    fn fx_exp_matches_f32() {
+    fn exp_neg_raw_matches_f32() {
         let q = QFormat::new(4, 10);
         for &x in &[-0.001f32, -0.5, -1.0, -2.5, -5.0, -9.0] {
-            let fx = Fx::from_f32(x, q);
-            let got = exp_neg_raw(fx.raw(), q.frac_bits() as u32, 30) as f64 / (1u64 << 30) as f64;
-            let want = (fx.to_f32() as f64).exp();
+            let r = raw(x, q);
+            let got = exp_neg_raw(r, q.frac_bits() as u32, 30) as f64 / (1u64 << 30) as f64;
+            let want = (r as f64 * q.precision() as f64).exp();
             assert!((got - want).abs() < 0.004, "exp({x}): {got} vs {want}");
         }
     }
 
     #[test]
-    fn fx_softmax_matches_f32_reference() {
+    fn int_softmax_matches_f32_reference() {
         let q = QFormat::new(4, 10);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             let n = rng.gen_range(2..12);
-            let vals: Vec<f32> = (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            let fx: Vec<Fx> = vals.iter().map(|&v| Fx::from_f32(v, q)).collect();
-            let fx_out = fx_softmax(&fx);
-            let quantized: Vec<f32> = fx.iter().map(Fx::to_f32).collect();
-            let t = Tensor::from_vec(quantized, [1, n]).unwrap();
-            let reference = t.softmax_axis(1);
-            for (out, i) in fx_out.iter().zip(0..n) {
-                let want = reference.get(&[0, i]);
+            let mut v: Vec<i64> = (0..n).map(|_| raw(rng.gen_range(-4.0..4.0), q)).collect();
+            let quantized: Vec<f32> = v.iter().map(|&r| r as f32 * q.precision()).collect();
+            let reference = Tensor::from_vec(quantized, [1, n]).unwrap().softmax_axis(1);
+            int_softmax(&mut v, q);
+            for (i, &out) in v.iter().enumerate() {
+                let (got, want) = (out as f32 * q.precision(), reference.get(&[0, i]));
                 assert!(
-                    (out.to_f32() - want).abs() < 4.0 * q.precision(),
-                    "n {n}: {} vs {want}",
-                    out.to_f32()
+                    (got - want).abs() < 4.0 * q.precision(),
+                    "n {n}: {got} vs {want}"
                 );
             }
         }
     }
 
     #[test]
-    fn fx_softmax_sums_to_approximately_one() {
+    fn int_softmax_sums_to_approximately_one() {
         let q = QFormat::new(4, 12);
-        let logits = [
-            Fx::from_f32(2.0, q),
-            Fx::from_f32(-1.0, q),
-            Fx::from_f32(0.5, q),
-        ];
-        let probs = fx_softmax(&logits);
-        let sum: f32 = probs.iter().map(Fx::to_f32).sum();
+        let mut v = [raw(2.0, q), raw(-1.0, q), raw(0.5, q)];
+        int_softmax(&mut v, q);
+        let sum: f32 = v.iter().map(|&p| p as f32 * q.precision()).sum();
         assert!((sum - 1.0).abs() < 0.01, "{sum}");
     }
 
@@ -390,45 +353,14 @@ mod tests {
     }
 
     #[test]
-    fn int_and_fx_paths_agree_bit_for_bit() {
-        let q = QFormat::new(2, 9);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let dim = rng.gen_range(1..9);
-            let raws: Vec<i64> = (0..dim)
-                .map(|_| rng.gen_range(q.min_raw()..=q.max_raw()))
-                .collect();
-            let fx: Vec<Fx> = raws.iter().map(|&r| Fx::from_raw(r, q)).collect();
-
-            let mut sq = raws.clone();
-            int_squash(&mut sq, q);
-            let fx_sq = fx_squash(&fx);
-            assert_eq!(sq, fx_sq.iter().map(Fx::raw).collect::<Vec<_>>());
-
-            let mut sm = raws.clone();
-            int_softmax(&mut sm, q);
-            let fx_sm = fx_softmax(&fx);
-            assert_eq!(sm, fx_sm.iter().map(Fx::raw).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fx_softmax_is_shift_invariant() {
+    fn int_softmax_is_shift_invariant() {
         // softmax(x) == softmax(x + c): the max-subtraction makes the
         // hardware unit exactly shift-invariant.
         let q = QFormat::new(5, 8);
-        let a: Vec<Fx> = [0.5f32, -1.0, 2.0]
-            .iter()
-            .map(|&v| Fx::from_f32(v, q))
-            .collect();
-        let b: Vec<Fx> = [3.5f32, 2.0, 5.0]
-            .iter()
-            .map(|&v| Fx::from_f32(v, q))
-            .collect();
-        let pa = fx_softmax(&a);
-        let pb = fx_softmax(&b);
-        for (x, y) in pa.iter().zip(&pb) {
-            assert_eq!(x.raw(), y.raw());
-        }
+        let mut a: Vec<i64> = [0.5f32, -1.0, 2.0].iter().map(|&v| raw(v, q)).collect();
+        let mut b: Vec<i64> = [3.5f32, 2.0, 5.0].iter().map(|&v| raw(v, q)).collect();
+        int_softmax(&mut a, q);
+        int_softmax(&mut b, q);
+        assert_eq!(a, b);
     }
 }

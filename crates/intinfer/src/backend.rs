@@ -37,7 +37,7 @@ use qcn_tensor::Tensor;
 /// let raw = SynthKind::Mnist.generate(12, 0);
 /// let images = raw.images().map(|v| snap_to_grid(v, 7));
 /// let test = Dataset::new(images, raw.labels().to_vec(), 10).unwrap();
-/// let backend = IntBackend::new(&model, model.descriptor(), 7, UnitMode::FloatExact);
+/// let backend = IntBackend::new(&model, 7, UnitMode::FloatExact);
 /// let mut eval = Evaluator::new(&backend, &test, 6);
 /// let acc = eval.accuracy(&ModelQuant::uniform(3, 7, RoundingScheme::RoundToNearest));
 /// assert!((0.0..=1.0).contains(&acc));
@@ -52,13 +52,12 @@ pub struct IntBackend<'a, M> {
 }
 
 impl<'a, M: CapsNet> IntBackend<'a, M> {
-    /// A backend over `model`, whose structure is `desc`, reading inputs
-    /// at `in_frac` fractional bits; `mode` selects how the nonlinear units
-    /// execute.
-    pub fn new(model: &'a M, desc: ModelDesc, in_frac: u8, mode: UnitMode) -> Self {
+    /// A backend over `model` reading inputs at `in_frac` fractional bits;
+    /// `mode` selects how the nonlinear units execute.
+    pub fn new(model: &'a M, in_frac: u8, mode: UnitMode) -> Self {
         IntBackend {
             model,
-            desc,
+            desc: model.descriptor(),
             in_frac,
             mode,
         }
@@ -140,7 +139,7 @@ mod tests {
         let raw = SynthKind::Mnist.generate(60, 7);
         let images = raw.images().map(|v| snap_to_grid(v, 6));
         let ds = Dataset::new(images, raw.labels().to_vec(), 10).unwrap();
-        let backend = IntBackend::new(&model, model.descriptor(), 6, UnitMode::Integer);
+        let backend = IntBackend::new(&model, 6, UnitMode::Integer);
         let loadable = ModelQuant::uniform(3, 4, RoundingScheme::RoundToNearest);
         let mut fallback = loadable.clone();
         fallback.layers[2].weight_frac = None; // L3 stays FP32: not loadable.

@@ -245,33 +245,31 @@ struct LoadedLayer {
 
 impl LoadedLayer {
     /// Loads `layer` from its raw weights for an `hw`-sized input; a
-    /// routing layer routes at `dr`. Returns the layer and its output size.
+    /// routing layer routes at `dr` (the canonical `Q_DR`, which every
+    /// routing group carries). Returns the layer and its output size.
     fn new(
         layer: &LayerDesc,
         raw: &[i64],
         x_frac: Option<u8>,
-        dr: u8,
+        dr: Option<u8>,
         hw: (usize, usize),
     ) -> (Self, (usize, usize)) {
+        let plan = |ti, dd| RoutePlan::new(ti, dd, dr.expect("routing groups carry Q_DR"));
         let route = match *layer {
             LayerDesc::ConvCapsRouting {
                 in_types, out_dim, ..
-            } => Some(RoutePlan::new(in_types, out_dim, dr)),
+            } => Some(plan(in_types, out_dim)),
             LayerDesc::CapsFc {
                 in_caps, out_dim, ..
-            } => Some(RoutePlan::new(in_caps, out_dim, dr)),
+            } => Some(plan(in_caps, out_dim)),
             _ => None,
         };
-        let patches = conv_geometry(layer).map(|(c, spec)| PatchTable::new(c, hw.0, hw.1, spec));
-        let out_hw = patches
-            .as_ref()
-            .map_or(hw, |p| p.spec().output_hw(hw.0, hw.1));
         let loaded = LoadedLayer {
             ops: layer_ops(layer, raw, x_frac),
-            patches,
+            patches: conv_geometry(layer).map(|(c, spec)| PatchTable::new(c, hw.0, hw.1, spec)),
             route,
         };
-        (loaded, out_hw)
+        (loaded, layer.output_hw(hw))
     }
 
     fn route(&self) -> &RoutePlan {
@@ -331,8 +329,9 @@ impl IntModel {
     /// Loads `packed` under the structural `desc`, validating that every
     /// group is fully executable on the integer datapath: quantized
     /// weights, an activation width, and (for DeepCaps blocks) a streaming
-    /// width. Routing groups fall back to `Qa` when no explicit `Q_DR` is
-    /// set, exactly like the fake-quant reference.
+    /// width. The widths are read from the canonical form of the packed
+    /// configuration ([`ModelDesc::canonical`]), which resolves each
+    /// routing group's `Q_DR` exactly as the fake-quant reference does.
     ///
     /// Every structural claim the blob makes — weight count, wordlength,
     /// bit-stream length — is checked *before* any unpacking, so a
@@ -413,13 +412,14 @@ impl IntModel {
             }
         }
         let raws = unpack_raw_weights(packed);
+        let config = desc.canonical(&packed.config);
         let mut groups = Vec::with_capacity(desc.groups.len());
         // Fractional width of the current group input: `None` for the
         // model input, then each group's stored activation width. `hw` is
         // its spatial size, which the patch tables are built for.
         let mut x_frac = None;
         let mut hw = (desc.image_side, desc.image_side);
-        for (((name, gdesc), lq), raw) in desc.groups.iter().zip(&packed.config.layers).zip(raws) {
+        for (((name, gdesc), lq), raw) in desc.groups.iter().zip(&config.layers).zip(raws) {
             let weight = lq
                 .weight_frac
                 .ok_or_else(|| LoadError::FullPrecisionGroup(name.clone()))?;
@@ -430,19 +430,12 @@ impl IntModel {
             let stream = lq.stream_frac;
             let flat = raw.expect("weight_frac set implies raw form");
             let weights_of = |layer: &LayerDesc, at: usize| {
-                let len = layer
-                    .param_shapes()
-                    .iter()
-                    .map(|s| s.iter().product::<usize>())
-                    .sum::<usize>();
+                let len = layer.weight_count();
                 (&flat[at..at + len], at + len)
             };
-            // Routing runs at Q_DR, falling back to the width the layer
-            // stores at: Qa for a layer, the streaming width in a block
-            // (the reference's inner LayerQuant has act = stream_frac).
+            let dr = lq.dr_frac;
             let layers = match gdesc {
                 GroupDesc::Layer(layer) => {
-                    let dr = lq.dr_frac.unwrap_or(act);
                     let (loaded, out_hw) = LoadedLayer::new(layer, &flat, x_frac, dr, hw);
                     hw = out_hw;
                     vec![loaded]
@@ -452,7 +445,6 @@ impl IntModel {
                         group: name.clone(),
                         field: "stream_frac",
                     })?;
-                    let dr = lq.dr_frac.unwrap_or(stream);
                     let (main1, at) = weights_of(&block.main1, 0);
                     let (main2, at) = weights_of(&block.main2, at);
                     let (skip, _) = weights_of(&block.skip, at);

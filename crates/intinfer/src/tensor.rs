@@ -8,9 +8,8 @@ use qcn_tensor::Tensor;
 /// Every element is the integer `v · 2^frac` of the real value `v` it
 /// represents; the engine's kernels manipulate only these integers and
 /// track `frac` through every multiply (fracs add) and requantization
-/// (frac becomes the output width). Unlike [`qcn_fixed::Fx`] this carries
-/// no per-element format — a whole tensor shares one precision, exactly as
-/// a hardware accumulator bank does.
+/// (frac becomes the output width). A whole tensor shares one precision,
+/// exactly as a hardware accumulator bank does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntTensor {
     data: Vec<i64>,

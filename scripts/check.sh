@@ -16,7 +16,8 @@ cargo test -q --workspace --exclude qcn-repro --exclude criterion --exclude prop
 # socket front-end — and so must batch invariance (any partition of
 # samples into batches gives the one-sample bits, for every engine and
 # rounding scheme), and so must integer routing over random geometries
-# (capsule dims across the 8-word lane, `s > 1` positions).
+# (capsule dims across the 8-word lane, `s > 1` positions), and so must
+# the canonical-config promise (equal canonical forms infer identically).
 # `--router-smoke` additionally runs the replica-fleet failover soak
 # (kill + same-port restart under load) at each thread count.
 for t in 1 2 7; do
@@ -25,6 +26,7 @@ for t in 1 2 7; do
   QCN_NUM_THREADS=$t cargo test -q --test serving_net_equivalence
   QCN_NUM_THREADS=$t cargo test -q --test batch_invariance
   QCN_NUM_THREADS=$t cargo test -q --test routing_geometry
+  QCN_NUM_THREADS=$t cargo test -q --test canonical_soundness
   if [[ "${1:-}" == "--router-smoke" ]]; then
     QCN_NUM_THREADS=$t cargo test -q --test router_failover
   fi

@@ -15,7 +15,7 @@
 //! let model = ShallowCaps::new(ShallowCapsConfig::small(1), 0);
 //! let test = SynthKind::Mnist.generate(10, 0);
 //! assert_eq!(test.num_classes(), 10);
-//! assert_eq!(model.config().image_side, 16);
+//! assert_eq!(model.descriptor().image_side, 16);
 //! ```
 
 #![warn(missing_docs)]

@@ -134,7 +134,7 @@ fn integer_backend_sweep_is_bit_identical() {
     let ds = Dataset::new(images, raw.labels().to_vec(), 10).unwrap();
     let fake_quant = assert_sweep_bit_identical(&model, &ds, 10, 0);
     for mode in [UnitMode::FloatExact, UnitMode::Integer] {
-        let backend = IntBackend::new(&model, model.descriptor(), 7, mode);
+        let backend = IntBackend::new(&model, 7, mode);
         let integer = assert_sweep_bit_identical(&backend, &ds, 10, 1);
         if mode == UnitMode::FloatExact {
             assert_eq!(integer, fake_quant, "FloatExact diverged from fake-quant");
